@@ -109,10 +109,7 @@ class LatencyHistogram:
         """
         with self._lock:
             values = sorted(self._ring)
-        if not values:
-            return 0.0
-        rank = max(0, min(len(values) - 1, int(round(q / 100.0 * (len(values) - 1)))))
-        return values[rank]
+        return _nearest_rank(values, q)
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram in: totals always sum; windows obey epochs.
@@ -148,17 +145,31 @@ class LatencyHistogram:
                     self._next = (self._next + 1) % self._window
 
     def snapshot(self) -> dict[str, float]:
-        """Flat summary: count, mean, max, and the p50/p95/p99 tail."""
+        """Flat summary: count, mean, max, and the p50/p95/p99 tail.
+
+        One locked copy, sorted once: totals and percentiles describe the
+        same instant even while handler threads keep observing.
+        """
         with self._lock:
             count, total, peak = self.count, self.total, self.max
+            values = list(self._ring)
+        values.sort()
         return {
             "count": count,
             "mean": total / count if count else 0.0,
             "max": peak,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": _nearest_rank(values, 50),
+            "p95": _nearest_rank(values, 95),
+            "p99": _nearest_rank(values, 99),
         }
+
+
+def _nearest_rank(values: list[float], q: float) -> float:
+    """The ``q``-th percentile (0-100) of sorted ``values`` (0.0 if empty)."""
+    if not values:
+        return 0.0
+    rank = max(0, min(len(values) - 1, int(round(q / 100.0 * (len(values) - 1)))))
+    return values[rank]
 
 
 def _flatten(prefix: str, mapping: Mapping[str, object], out: dict[str, float]) -> None:

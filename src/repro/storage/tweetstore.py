@@ -2,16 +2,18 @@
 
 The study's collection phase gathered millions of tweets; everything
 downstream (refinement, grouping, event detection) queries them by user,
-time, GPS presence, or keyword.  The store keeps tweets in insertion
-order, maintains secondary indexes, and can persist to / recover from an
-append-only JSONL log — one JSON document per line, so a partially
-written final line (a crash mid-append) is detected and ignored on load.
+time, GPS presence, or keyword.  The store's ordered indexes are
+appended on write and sorted once on first read, so bulk loading costs
+one sort rather than a sorted insert per tweet.  It can persist to /
+recover from an append-only JSONL log — one JSON document per line, so a
+partially written final line (a crash mid-append) is detected and
+ignored on load.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -24,12 +26,19 @@ from repro.twitter.models import Tweet
 class TweetStore:
     """In-memory tweet store with optional JSONL persistence.
 
-    Indexes maintained on insert:
+    Indexes:
 
     * primary — tweet id -> tweet
-    * by user — user id -> tweet ids in time order
+    * by user — user id -> tweet ids in id order
     * by time — global ``(created_at_ms, tweet_id)`` ordering
     * gps — the subset of ids carrying coordinates
+
+    The two ordered indexes are appended on write and sorted once on
+    first read.  An append that lands out of order marks its index
+    dirty; a read sorts only the dirty indexes it needs, so in-order
+    appends (:meth:`load`, the streaming journal) never sort at all.
+    Ordering keys are unique, so one sort gives exactly the order a
+    sorted insert per tweet would have.
     """
 
     def __init__(self) -> None:
@@ -37,6 +46,8 @@ class TweetStore:
         self._by_user: dict[int, list[int]] = {}
         self._time_index: list[tuple[int, int]] = []  # (created_at_ms, tweet_id)
         self._gps_ids: set[int] = set()
+        self._unsorted_users: set[int] = set()
+        self._time_unsorted = False
 
     # ----------------------------------------------------------------- write
     def insert(self, tweet: Tweet) -> None:
@@ -48,9 +59,17 @@ class TweetStore:
         if tweet.tweet_id in self._by_id:
             raise DuplicateKeyError(f"tweet {tweet.tweet_id} already stored")
         self._by_id[tweet.tweet_id] = tweet
-        self._by_user.setdefault(tweet.user_id, [])
-        insort(self._by_user[tweet.user_id], tweet.tweet_id)
-        insort(self._time_index, (tweet.created_at_ms, tweet.tweet_id))
+        timeline = self._by_user.get(tweet.user_id)
+        if timeline is None:
+            self._by_user[tweet.user_id] = [tweet.tweet_id]
+        else:
+            if tweet.tweet_id < timeline[-1]:
+                self._unsorted_users.add(tweet.user_id)
+            timeline.append(tweet.tweet_id)
+        key = (tweet.created_at_ms, tweet.tweet_id)
+        if self._time_index and key < self._time_index[-1]:
+            self._time_unsorted = True
+        self._time_index.append(key)
         if tweet.has_gps:
             self._gps_ids.add(tweet.tweet_id)
 
@@ -66,12 +85,26 @@ class TweetStore:
         return inserted
 
     # ------------------------------------------------------------------ read
+    def _timeline(self) -> list[tuple[int, int]]:
+        """The global time index, sorted first if appends left it dirty."""
+        if self._time_unsorted:
+            self._time_index.sort()
+            self._time_unsorted = False
+        return self._time_index
+
+    def _user_timeline(self, user_id: int) -> list[int]:
+        """A user's tweet ids, sorted first if appends left them dirty."""
+        if user_id in self._unsorted_users:
+            self._by_user[user_id].sort()
+            self._unsorted_users.discard(user_id)
+        return self._by_user.get(user_id, [])
+
     def __len__(self) -> int:
         return len(self._by_id)
 
     def __iter__(self) -> Iterator[Tweet]:
         """Iterate all tweets in time order."""
-        for _, tweet_id in self._time_index:
+        for _, tweet_id in self._timeline():
             yield self._by_id[tweet_id]
 
     def get(self, tweet_id: int) -> Tweet:
@@ -91,7 +124,7 @@ class TweetStore:
 
     def by_user(self, user_id: int) -> list[Tweet]:
         """A user's tweets in time order (empty list if none)."""
-        return [self._by_id[tid] for tid in self._by_user.get(user_id, [])]
+        return [self._by_id[tid] for tid in self._user_timeline(user_id)]
 
     def gps_count(self) -> int:
         """Number of GPS-tagged tweets."""
@@ -116,9 +149,10 @@ class TweetStore:
         if query.user_id is not None:
             return self.by_user(query.user_id)
         if query.time_range is not None:
-            lo = bisect_left(self._time_index, (query.time_range.start_ms, -1))
-            hi = bisect_right(self._time_index, (query.time_range.end_ms, -1))
-            return [self._by_id[tid] for _, tid in self._time_index[lo:hi]]
+            timeline = self._timeline()
+            lo = bisect_left(timeline, (query.time_range.start_ms, -1))
+            hi = bisect_right(timeline, (query.time_range.end_ms, -1))
+            return [self._by_id[tid] for _, tid in timeline[lo:hi]]
         if query.has_gps is True or query.bbox is not None:
             return self.gps_tweets()
         return list(self)
@@ -142,17 +176,26 @@ class TweetStore:
         single string and written (then flushed) in one call, so a crash
         mid-append can tear at most the *final* line of the log — which
         :meth:`load` already drops — instead of leaving a partially
-        written line in the middle of the batch.  All tweets are inserted
-        into the in-memory indexes before any byte reaches disk, so a
-        duplicate id raises with the log untouched.
+        written line in the middle of the batch.  The whole batch is
+        checked for duplicate ids — against the store and within itself —
+        before anything changes, so a duplicate raises with both the
+        in-memory indexes and the log untouched, and the two never
+        disagree.
 
         Returns the number of records appended.
 
         Raises:
-            DuplicateKeyError: if a tweet id is already present (nothing
-                is written to the log in that case).
+            DuplicateKeyError: if a tweet id is already present or repeats
+                within the batch (nothing is inserted or written then).
         """
         batch = list(tweets)
+        seen: set[int] = set()
+        for tweet in batch:
+            if tweet.tweet_id in self._by_id:
+                raise DuplicateKeyError(f"tweet {tweet.tweet_id} already stored")
+            if tweet.tweet_id in seen:
+                raise DuplicateKeyError(f"tweet {tweet.tweet_id} repeats within the batch")
+            seen.add(tweet.tweet_id)
         for tweet in batch:
             self.insert(tweet)
         return append_journal(path, (tweet.to_dict() for tweet in batch))

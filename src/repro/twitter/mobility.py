@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import ConfigurationError
 from repro.geo.gazetteer import GazetteerBackend
@@ -37,6 +38,9 @@ class MobilityProfile:
             cap; :class:`MobilityModel` fills it with the Voronoi-safe
             radius so a sampled fix always reverse-geocodes back to the
             district it was sampled in.
+        cum_weights: Running sums of ``weights``, computed once so each
+            draw skips the accumulation :func:`random.choices` would
+            redo per call (same list, same single ``random()`` draw).
     """
 
     home: District
@@ -44,6 +48,7 @@ class MobilityProfile:
     districts: tuple[District, ...]
     weights: tuple[float, ...]
     sample_radii_km: tuple[float, ...] = ()
+    cum_weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.districts) != len(self.weights):
@@ -55,6 +60,7 @@ class MobilityProfile:
         total = sum(self.weights)
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ConfigurationError(f"weights must sum to 1, got {total}")
+        object.__setattr__(self, "cum_weights", tuple(accumulate(self.weights)))
 
     @property
     def home_weight(self) -> float:
@@ -64,7 +70,7 @@ class MobilityProfile:
 
     def sample_district(self, rng: random.Random) -> District:
         """Draw the district for one tweet."""
-        return rng.choices(self.districts, weights=self.weights, k=1)[0]
+        return rng.choices(self.districts, cum_weights=self.cum_weights, k=1)[0]
 
     def sample_point(self, rng: random.Random) -> tuple[District, GeoPoint]:
         """Draw a district and a GPS fix uniformly inside it.
@@ -79,7 +85,9 @@ class MobilityProfile:
         the generator's ground truth (seen with Dobong-gu fixes
         resolving to the adjacent Nowon-gu).
         """
-        index = rng.choices(range(len(self.districts)), weights=self.weights, k=1)[0]
+        index = rng.choices(
+            range(len(self.districts)), cum_weights=self.cum_weights, k=1
+        )[0]
         district = self.districts[index]
         if self.sample_radii_km:
             cap_km = self.sample_radii_km[index]
@@ -111,6 +119,13 @@ class MobilityModel:
         self._nearby_radius_km = nearby_radius_km
         self._travel_radius_km = travel_radius_km
         self._safe_radius_cache: dict[tuple[str, str], float] = {}
+        # Neighbourhood queries repeat across users sharing a home; the
+        # catalogue is fixed, so each (district, radius) is searched once.
+        # The whole-catalogue list is built on first use: most catalogues
+        # never need the isolated-anchor fallback, and the mmap backend
+        # materialises districts only when asked.
+        self._within_cache: dict[tuple[tuple[str, str], float], tuple[District, ...]] = {}
+        self._catalogue: tuple[District, ...] | None = None
 
     # ---------------------------------------------------------------- public
     def build_profile(
@@ -151,7 +166,7 @@ class MobilityModel:
         if cached is not None:
             return cached
         cap = district.radius_km * 0.8
-        for neighbour in self._gazetteer.within(district.center, 200.0):
+        for neighbour in self._within(district, 200.0):
             if neighbour.key() == key:
                 continue
             gap = neighbour.center.distance_km(district.center)
@@ -245,6 +260,15 @@ class MobilityModel:
         return [spot, second], [w, 1.0 - w]
 
     # ------------------------------------------------------------- internals
+    def _within(self, district: District, radius_km: float) -> tuple[District, ...]:
+        """``gazetteer.within(district.center, radius_km)``, memoised."""
+        key = (district.key(), radius_km)
+        found = self._within_cache.get(key)
+        if found is None:
+            found = tuple(self._gazetteer.within(district.center, radius_km))
+            self._within_cache[key] = found
+        return found
+
     def _pick_nearby(
         self,
         anchor: District,
@@ -256,7 +280,7 @@ class MobilityModel:
         excluded = {anchor.key()} | (exclude or set())
         pool = [
             d
-            for d in self._gazetteer.within(anchor.center, self._nearby_radius_km)
+            for d in self._within(anchor, self._nearby_radius_km)
             if d.key() not in excluded
         ]
         if not pool:
@@ -274,11 +298,13 @@ class MobilityModel:
         """
         pool = [
             d
-            for d in self._gazetteer.within(anchor.center, self._travel_radius_km)
+            for d in self._within(anchor, self._travel_radius_km)
             if d.key() != anchor.key()
         ]
         if not pool:
-            pool = [d for d in self._gazetteer.districts if d.key() != anchor.key()]
+            if self._catalogue is None:
+                self._catalogue = tuple(self._gazetteer.districts)
+            pool = [d for d in self._catalogue if d.key() != anchor.key()]
         if not pool:
             return []
         weights = [d.population_weight for d in pool]

@@ -213,3 +213,32 @@ class TestLatencyHistogramEpochs:
         assert fresh.percentile(99) == 1.0
         assert fresh.count == 6
         assert fresh.max == 10.0
+
+
+class TestLatencyHistogramSnapshot:
+    def test_snapshot_percentiles_equal_per_call_percentile(self):
+        from repro.engine.metrics import LatencyHistogram
+
+        histogram = LatencyHistogram(window=16)
+        # 40 observations wrap the 16-slot ring twice and leave it unsorted.
+        for i in range(40):
+            histogram.observe(float((i * 7) % 23))
+        summary = histogram.snapshot()
+        for name, q in (("p50", 50), ("p95", 95), ("p99", 99)):
+            assert summary[name] == histogram.percentile(q)
+        # The window holds observations 24..39: values (i * 7) % 23.
+        window = sorted(float((i * 7) % 23) for i in range(24, 40))
+        assert (summary["p50"], summary["p95"], summary["p99"]) == (
+            window[8], window[14], window[15]
+        )
+        assert summary["count"] == 40
+        assert summary["max"] == 22.0
+        assert summary["mean"] == sum(float((i * 7) % 23) for i in range(40)) / 40
+
+    def test_empty_snapshot_is_zero(self):
+        from repro.engine.metrics import LatencyHistogram
+
+        summary = LatencyHistogram(window=4).snapshot()
+        assert summary == {
+            "count": 0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }

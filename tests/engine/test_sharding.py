@@ -105,8 +105,14 @@ class TestExecutor:
     def test_pool_reused_across_calls(self):
         with ShardedExecutor(shards=2, backend="process") as executor:
             first = executor.run_shards(list(range(4)), _chunk_pid)
+            pool = executor._pool
             second = executor.run_shards(list(range(4)), _chunk_pid)
-        assert {r[1] for r in first.results} == {r[1] for r in second.results}
+            assert pool is not None and executor._pool is pool
+        # Either call may hand both shards to one worker, so the two pid
+        # sets need not be equal; together they stay within the pool's
+        # two workers (a pool re-forked per call would add new pids).
+        pids = {r[1] for r in first.results} | {r[1] for r in second.results}
+        assert len(pids) <= 2 and os.getpid() not in pids
 
     def test_close_is_idempotent(self):
         executor = ShardedExecutor(shards=2, backend="process")

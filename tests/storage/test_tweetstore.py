@@ -163,6 +163,25 @@ class TestAppendMany:
         with pytest.raises(DuplicateKeyError):
             store.append_many(path, [_tweet(6), _tweet(1)])
         assert path.read_text(encoding="utf-8") == before
+        # Atomic: the tweet ahead of the duplicate never reached the
+        # in-memory indexes either, so the mirror still matches its log.
+        assert len(store) == 5
+        with pytest.raises(NotFoundError):
+            store.get(6)
+
+    def test_repeat_within_batch_leaves_store_and_log_untouched(self, store, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        store.save(path)
+        before = path.read_text(encoding="utf-8")
+        with pytest.raises(DuplicateKeyError):
+            store.append_many(path, [_tweet(6), _tweet(6)])
+        assert path.read_text(encoding="utf-8") == before
+        assert len(store) == 5
+        with pytest.raises(NotFoundError):
+            store.get(6)
+        # The store is still usable: the same id goes in once.
+        assert store.append_many(path, [_tweet(6)]) == 1
+        assert [t.tweet_id for t in TweetStore.load(path)] == [1, 2, 3, 4, 5, 6]
 
     def test_crash_mid_batch_tears_only_the_final_line(self, store, tmp_path):
         """Regression: a crash landing mid-batch must cost at most the last
