@@ -13,14 +13,10 @@ per-user state:
 * GPS tweets of well-defined users are reverse-geocoded through the
   tiered :class:`~repro.geocode.service.GeocodeService` — one resolution
   per 0.001° cell, at the cell's canonical representative point;
-* observations feed a grouper — by default the
-  :class:`~repro.columnar.grouping.ColumnarGrouper`, which folds rows
-  into per-user counters of *interned ids* (no record objects or string
-  hashing on the fold path; ``columnar=False`` restores the
-  record-keyed :class:`~repro.grouping.incremental.IncrementalGrouper`)
-  — and only the users *touched by the batch* are re-classified — the
-  per-group tallies update by group-transition deltas rather than a
-  full recount.
+* observations feed an :class:`~repro.grouping.incremental
+  .IncrementalGrouper`, and only the users *touched by the batch* are
+  re-classified — the per-group tallies update by group-transition
+  deltas rather than a full recount.
 
 Because a cell's outcome is a pure function of the cell key (see
 :mod:`repro.geocode.service`), fold-time resolutions are *already* the
@@ -44,7 +40,6 @@ from collections import Counter
 from pathlib import Path
 
 from repro.analysis.correlation import StudyResult
-from repro.columnar.grouping import ColumnarGrouper
 from repro.datasets.refine import RefinementFunnel
 from repro.errors import ConfigurationError
 from repro.geo.forward import GeocodeStatus, TextGeocoder
@@ -90,10 +85,6 @@ class IncrementalStudyAccumulator:
             already-resolved cells.
         geocode: Inject a pre-built service instead (overrides
             ``cache_dir``).
-        columnar: Fold observations into interned-id columnar counters
-            (the default); ``False`` keeps the record-keyed incremental
-            grouper.  Classification output, export counters, and
-            checkpoint digests are identical either way.
 
     Raises:
         ConfigurationError: for ``min_gps_tweets != 1``.
@@ -107,7 +98,6 @@ class IncrementalStudyAccumulator:
         min_gps_tweets: int = 1,
         cache_dir: str | Path | None = None,
         geocode: GeocodeService | None = None,
-        columnar: bool = True,
     ):
         if min_gps_tweets != 1:
             raise ConfigurationError(
@@ -133,9 +123,7 @@ class IncrementalStudyAccumulator:
                 cache_path=cache_path,
             )
         self._geocode = geocode
-        self._grouper: ColumnarGrouper | IncrementalGrouper = (
-            ColumnarGrouper(tie_break) if columnar else IncrementalGrouper(tie_break)
-        )
+        self._grouper = IncrementalGrouper(tie_break)
 
         # Per-user state, keyed by user id.
         self._profile_status: dict[int, str] = {}
@@ -358,7 +346,7 @@ class IncrementalStudyAccumulator:
 
     # ------------------------------------------------------------------ views
     @property
-    def grouper(self) -> ColumnarGrouper | IncrementalGrouper:
+    def grouper(self) -> IncrementalGrouper:
         """The underlying grouper (checkpoint digests hash its export)."""
         return self._grouper
 

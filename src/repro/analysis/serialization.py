@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.correlation import StudyResult
-from repro.columnar.interner import StringInterner, study_interner
+from repro.analysis.interner import StringInterner, study_interner
 from repro.datasets.refine import RefinementFunnel
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import ConfigurationError, ReproError, StorageError
 from repro.geo.gazetteer import GazetteerBackend
 from repro.grouping.merge import MergedString
 from repro.grouping.strings import LocationString
@@ -30,9 +30,9 @@ from repro.twitter.models import GeotaggedObservation
 from repro.yahooapi.client import ClientStats
 
 #: Current document version.  Version 2 added the ``interner`` key — the
-#: canonical string-id table of :func:`~repro.columnar.interner
-#: .study_interner` — so the interned columnar view is versioned into the
-#: document (and therefore into :func:`study_digest`).
+#: canonical string-id table of :func:`~repro.analysis.interner
+#: .study_interner` — so the table is versioned into the document (and
+#: therefore into :func:`study_digest`).
 _FORMAT_VERSION = 2
 
 #: Versions :func:`load_study` accepts.  Version-1 documents predate the
@@ -125,8 +125,8 @@ def load_study(path: str | Path, gazetteer: GazetteerBackend) -> StudyResult:
     strings rather than trusted from disk, so a loaded study can never
     disagree with its own observations.  A version-2 document's stored
     interner table is checked against the table the observations derive
-    to, so a document whose columnar view was edited out from under its
-    rows is rejected rather than silently re-interned.
+    to, so a document whose table was edited out from under its rows is
+    rejected rather than silently re-interned.
 
     Args:
         path: The JSON document.
@@ -134,16 +134,35 @@ def load_study(path: str | Path, gazetteer: GazetteerBackend) -> StudyResult:
             against (must contain every stored key).
 
     Raises:
-        StorageError: on version mismatch or malformed content.
+        StorageError: on an unreadable file, a version mismatch, or
+            malformed content — never a bare parsing exception.
     """
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StorageError(f"cannot read study from {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise StorageError(
+            f"{path} is not a study document (top level is a "
+            f"{type(document).__name__}, not an object)"
+        )
     version = document.get("format_version")
-    if version not in _SUPPORTED_VERSIONS:
-        raise StorageError(f"unsupported study format version: {version}")
+    if not isinstance(version, int) or version not in _SUPPORTED_VERSIONS:
+        raise StorageError(f"unsupported study format version: {version!r}")
+    try:
+        return _study_from_document(document, gazetteer, path)
+    except StorageError:
+        raise
+    except (ReproError, LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise StorageError(
+            f"malformed study document {path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
+
+def _study_from_document(
+    document: dict[str, Any], gazetteer: GazetteerBackend, path: str | Path
+) -> StudyResult:
+    """Build the :class:`StudyResult` a parsed, version-checked document holds."""
     observations = [
         GeotaggedObservation(
             user_id=int(o["user_id"]),

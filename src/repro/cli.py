@@ -129,7 +129,6 @@ def _run_engine_study(args: argparse.Namespace):
             shards=getattr(args, "shards", 1),
             backend=getattr(args, "backend", "serial"),
             cache_dir=getattr(args, "cache_dir", None) or None,
-            columnar=getattr(args, "columnar", True),
         ),
         context=context,
     )
@@ -676,11 +675,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                         "queue on the same workers")
     parser.add_argument("--backend", choices=("serial", "process"),
                         default="serial", help="shard execution backend")
-    parser.add_argument("--columnar", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="group over interned columnar batches "
-                        "(byte-identical to the dict path; --no-columnar "
-                        "falls back to per-user dict merging)")
     _add_cache_option(parser)
 
 

@@ -57,9 +57,6 @@ class EngineConfig:
             (crash-recovery drills; see
             :class:`~repro.engine.sharding.WorkerFaultPlan`), mirroring
             the API-level ``FailurePlan`` idiom.
-        columnar: Group over interned columnar batches (the default;
-            byte-identical to the dict path).  ``False`` is the
-            transition escape hatch — see the README note.
     """
 
     shards: int = 1
@@ -68,7 +65,6 @@ class EngineConfig:
     tie_break: TieBreak = TieBreak.STRING_ASC
     cache_dir: str | None = None
     fault_plan: WorkerFaultPlan | None = None
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -92,13 +88,10 @@ def default_engine_config() -> EngineConfig:
 
     * ``REPRO_BACKEND`` — ``"serial"`` or ``"process"``;
     * ``REPRO_SHARDS`` — shard count (the worker pool stays capped at
-      the machine's CPU count regardless);
-    * ``REPRO_COLUMNAR`` — ``"0"``/``"false"``/``"off"`` to group via
-      the dict path instead of interned columns.
+      the machine's CPU count regardless).
 
-    Sharded and columnar runs are byte-identical to serial dict-path
-    ones, so the overrides can never change a result — only how it is
-    computed.
+    Sharded runs are byte-identical to serial ones, so the overrides can
+    never change a result — only how it is computed.
 
     Raises:
         ConfigurationError: for an unparseable or invalid override.
@@ -115,16 +108,6 @@ def default_engine_config() -> EngineConfig:
             raise ConfigurationError(
                 f"REPRO_SHARDS must be an integer, got {shards!r}"
             ) from None
-    columnar = os.environ.get("REPRO_COLUMNAR", "").strip().lower()
-    if columnar:
-        if columnar in ("1", "true", "on", "yes"):
-            kwargs["columnar"] = True
-        elif columnar in ("0", "false", "off", "no"):
-            kwargs["columnar"] = False
-        else:
-            raise ConfigurationError(
-                f"REPRO_COLUMNAR must be a boolean flag, got {columnar!r}"
-            )
     return EngineConfig(**kwargs)  # type: ignore[arg-type]
 
 
@@ -237,7 +220,6 @@ class StudyEngine:
             executor=executor,
             min_gps_tweets=self._config.min_gps_tweets,
             tie_break=self._config.tie_break,
-            columnar=self._config.columnar,
         )
         # The bounded worker pool is shared by every sharded stage of the
         # run (one fork cost, not one per stage) and reaped afterwards.

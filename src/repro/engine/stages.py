@@ -22,23 +22,13 @@ usage accounting, for any shard count and backend.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Protocol
 
-from pathlib import Path
-
-from repro.columnar.grouping import (
-    concat_packed,
-    group_slices_shard,
-    groupings_from_packed,
-    merged_rows_packed,
-)
-from repro.columnar.records import MatchColumns
-from repro.columnar.share import ShardSlice
 from repro.datasets.refine import RefinementFunnel
 from repro.engine.context import RunContext
-from repro.engine.sharding import ShardedExecutor, ShardRunReport, partition
+from repro.engine.sharding import ShardedExecutor, ShardRunReport
 from repro.errors import ConfigurationError
 from repro.geo.forward import GeocodeStatus, TextGeocoder
 from repro.geo.gazetteer import GazetteerBackend
@@ -90,11 +80,6 @@ class StudyState:
         executor: Shard plan for the hot-path stages.
         min_gps_tweets: Study-entry threshold (paper: 1).
         tie_break: Equal-count ordering policy for the grouping method.
-        columnar: Run the grouping stage over interned columnar batches
-            (integer sort + run-length counting; sharded runs ship
-            mmap'd buffers instead of pickled chunks).  Byte-identical
-            to the dict path — this is the transition escape hatch, not
-            a semantic switch.
         funnel: Refinement attrition accounting (RefineStage onwards).
         profile_districts: Every well-defined user's district (step 2).
         kept_profile_districts: Study users' districts (steps 3-4).
@@ -114,7 +99,6 @@ class StudyState:
     executor: ShardedExecutor = field(default_factory=ShardedExecutor)
     min_gps_tweets: int = 1
     tie_break: TieBreak = TieBreak.STRING_ASC
-    columnar: bool = True
 
     funnel: RefinementFunnel = field(default_factory=RefinementFunnel)
     profile_districts: dict[int, District] = field(default_factory=dict)
@@ -515,13 +499,6 @@ class GroupingStage:
     partitioned into contiguous per-user chunks (first-encounter user
     order, matching the serial dict order) and classified shard-by-shard;
     merging is dict concatenation in shard order.
-
-    With ``state.columnar`` (the default) the stage instead packs the
-    observations into interned int64 columns and groups by integer sort
-    + run-length counting; sharded runs write the columns to one temp
-    buffer file that workers ``mmap`` and answer with packed result
-    columns — no pickled object shards either way.  Both paths are
-    property-tested byte-identical (``tests/engine/test_columnar_engine``).
     """
 
     name = "grouping"
@@ -530,94 +507,25 @@ class GroupingStage:
         """Classify every study user into their Top-k group."""
         with context.stage(self.name) as span:
             span.items_in = len(state.observations)
-            if state.columnar:
-                groupings = self._run_columnar(context, state)
-            else:
-                groupings = self._run_dicts(context, state)
+            per_user: dict[int, list[GeotaggedObservation]] = {}
+            for observation in state.observations:
+                per_user.setdefault(observation.user_id, []).append(observation)
+            report = state.executor.run_shards(
+                list(per_user.values()),
+                _group_users_shard,
+                payload=(state.tie_break,),
+            )
+            if state.executor.shards > 1:
+                _record_shard_run(context, self.name, report)
+            groupings: dict[int, UserGrouping] = {}
+            for shard_result in report.results:
+                groupings.update(shard_result)
             state.groupings = groupings
             span.items_out = len(groupings)
             context.metrics.counter("grouping.users", len(groupings))
             context.metrics.counter("grouping.observations", len(state.observations))
             for grouping in groupings.values():
                 context.metrics.counter(f"grouping.group.{grouping.group.value}")
-
-    # -------------------------------------------------------------- dict path
-    def _run_dicts(
-        self, context: RunContext, state: StudyState
-    ) -> dict[int, UserGrouping]:
-        """The pre-columnar path: pickled per-user chunks of objects."""
-        per_user: dict[int, list[GeotaggedObservation]] = {}
-        for observation in state.observations:
-            per_user.setdefault(observation.user_id, []).append(observation)
-        report = state.executor.run_shards(
-            list(per_user.values()),
-            _group_users_shard,
-            payload=(state.tie_break,),
-        )
-        if state.executor.shards > 1:
-            _record_shard_run(context, self.name, report)
-        groupings: dict[int, UserGrouping] = {}
-        for shard_result in report.results:
-            groupings.update(shard_result)
-        return groupings
-
-    # ---------------------------------------------------------- columnar path
-    def _run_columnar(
-        self, context: RunContext, state: StudyState
-    ) -> dict[int, UserGrouping]:
-        """Pack, (optionally) shard over an mmap'd buffer, merge, classify."""
-        columns = MatchColumns.from_observations(state.observations)
-        executor = state.executor
-        if executor.shards > 1 and len(columns):
-            try:
-                user_slices = columns.user_slices()
-            except ConfigurationError:
-                # A hand-assembled state with interleaved users cannot be
-                # row-range sharded; the in-memory merge handles any order.
-                user_slices = None
-            if user_slices is not None:
-                packed = self._merge_sharded(context, state, columns, user_slices)
-                return groupings_from_packed(
-                    packed, columns.interner.lookup, state.tie_break
-                )
-        packed = merged_rows_packed(columns)
-        return groupings_from_packed(
-            packed, columns.interner.lookup, state.tie_break
-        )
-
-    def _merge_sharded(
-        self,
-        context: RunContext,
-        state: StudyState,
-        columns: MatchColumns,
-        user_slices: list[tuple[int, int, int]],
-    ):
-        """Run the merge across shards against one shared buffer file.
-
-        Users are partitioned exactly as the dict path partitions them
-        (contiguous near-equal chunks in first-encounter order), but a
-        shard's work order is a single :class:`ShardSlice` row range and
-        its result is packed fixed-width columns — the parent merges by
-        array concatenation, in shard order.
-        """
-        chunks = partition(user_slices, state.executor.shards)
-        slices: list[ShardSlice] = []
-        position = len(columns)
-        for chunk in reversed(chunks):
-            if chunk:
-                position = chunk[0][1]
-                slices.append(ShardSlice(position, chunk[-1][2]))
-            else:
-                slices.append(ShardSlice(position, position))
-        slices.reverse()
-        with tempfile.TemporaryDirectory(prefix="repro-columnar-") as tmp:
-            buffer_path = str(Path(tmp) / "grouping.buf")
-            columns.write(buffer_path)
-            report = state.executor.run_shards(
-                slices, group_slices_shard, payload=(buffer_path,)
-            )
-            _record_shard_run(context, self.name, report)
-        return concat_packed(list(report.results))
 
 
 class StatisticsStage:

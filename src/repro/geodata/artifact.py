@@ -3,9 +3,8 @@
 ``repro geodata prepare`` compiles a district catalogue (plus optional
 boundary polygons) into one file that
 :class:`~repro.geodata.mmapgaz.MmapGazetteer` maps read-only.  The file
-reuses the columnar ``RCOLBUF1`` section machinery
-(:mod:`repro.columnar.share`) — the gazetteer payload is just a named set
-of sections inside that envelope:
+is an ``RCOLBUF1`` buffer (:mod:`repro.geodata.buffer`) — the gazetteer
+payload is just a named set of sections inside that envelope:
 
 * ``meta`` — JSON blob carrying the ``RGAZ1`` format marker, version,
   grid geometry, and entity counts; readers refuse unknown formats and
@@ -42,11 +41,11 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.columnar.interner import StringInterner
-from repro.columnar.share import BufferReader, BufferWriter
+from repro.analysis.interner import StringInterner
 from repro.errors import StorageError, UnknownRegionError
 from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import District
+from repro.geodata.buffer import BufferReader, BufferWriter
 
 #: Format marker stored in the artifact's meta section.
 GAZETTEER_FORMAT = "RGAZ1"

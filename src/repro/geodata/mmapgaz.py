@@ -296,8 +296,7 @@ class MmapGazetteer(SpatialGridCore):
 
         A sharded run's worker payload therefore carries a few dozen
         bytes; each worker re-maps the same file and the OS page cache
-        holds one copy for all of them — the same trick the columnar
-        grouping buffers use.
+        holds one copy for all of them.
         """
         return (type(self), (str(self._path),))
 

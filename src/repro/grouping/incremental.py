@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 
-from repro.columnar.keys import merged_sort_key
 from repro.errors import InsufficientDataError
-from repro.grouping.merge import MergedString, TieBreak
+from repro.grouping.merge import MergedString, TieBreak, merged_sort_key
 from repro.grouping.strings import LocationString
 from repro.grouping.topk import TopKGroup, UserGrouping, classify_rows
 from repro.twitter.models import GeotaggedObservation

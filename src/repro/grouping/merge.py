@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from repro.columnar.keys import merged_sort_key
 from repro.grouping.strings import LocationString
 
 
@@ -47,6 +46,37 @@ class MergedString:
     def is_matched(self) -> bool:
         """True when the underlying record is a matched string."""
         return self.record.is_matched
+
+
+#: Ends every :attr:`TieBreak.STRING_DESC` key.  It is greater than any
+#: negated code point, so a string sorts *before* its own prefixes
+#: ("abc" before "ab") — the exact reverse of :attr:`TieBreak.STRING_ASC`.
+_DESC_END = 1
+
+
+def merged_sort_key(tie_break: TieBreak) -> Callable[[MergedString], object]:
+    """The ordering key for one user's merged strings.
+
+    Count descending, then the ``tie_break`` policy over the rendered
+    string — the exact ordering of paper Table II.  The batch
+    (:func:`merge_strings`) and incremental
+    (:class:`~repro.grouping.incremental.IncrementalGrouper`) groupers
+    both sort with the key returned here.
+    """
+
+    def sort_key(row: MergedString) -> object:
+        rendered = row.record.render()
+        if tie_break is TieBreak.STRING_ASC:
+            tail: object = rendered
+        elif tie_break is TieBreak.STRING_DESC:
+            tail = tuple(-ord(ch) for ch in rendered) + (_DESC_END,)
+        elif tie_break is TieBreak.MATCHED_FIRST:
+            tail = (0 if row.is_matched else 1, rendered)
+        else:  # MATCHED_LAST
+            tail = (1 if row.is_matched else 0, rendered)
+        return (-row.count, tail)
+
+    return sort_key
 
 
 def merge_strings(

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.columnar.keys import DELIMITER, location_key
 from repro.errors import AnalysisError
 from repro.twitter.models import GeotaggedObservation
 
 __all__ = ["DELIMITER", "LocationString"]
+
+#: Field delimiter of the paper's string records.
+DELIMITER = "#"
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,14 +64,15 @@ class LocationString:
         return (self.profile_state, self.profile_county)
 
     def render(self) -> str:
-        """The paper's ``#``-delimited string form (via the shared
-        :func:`~repro.columnar.keys.location_key` builder)."""
-        return location_key(
-            self.user_id,
-            self.profile_state,
-            self.profile_county,
-            self.tweet_state,
-            self.tweet_county,
+        """The paper's ``#``-delimited string form."""
+        return DELIMITER.join(
+            (
+                str(self.user_id),
+                self.profile_state,
+                self.profile_county,
+                self.tweet_state,
+                self.tweet_county,
+            )
         )
 
     @classmethod

@@ -2,13 +2,13 @@
 
 ``ServingSnapshot.from_study(accumulator.snapshot())`` is O(full study)
 twice over — the accumulator assembles every observation row and the
-snapshot re-renders every user's response body, merged strings, interner
-sweep, and regional table.  On a live stream where a cadence tick
+snapshot re-renders every user's response body, merged strings, and
+regional table.  On a live stream where a cadence tick
 typically touches a few percent of users, that cost caps the achievable
 freshness.
 
 :class:`DeltaSnapshotBuilder` keeps every per-user derived piece cached
-— response body, matched key, JSON fragments for the content digest
+— response body, JSON fragments for the content digest
 (:mod:`repro.live.fragments`), interner occurrence positions, region
 membership — and on each build re-derives them **only for users whose
 tweets changed since the last build** (the accumulator's dirty set).
@@ -36,7 +36,6 @@ from __future__ import annotations
 from repro.analysis.incremental import IncrementalStudyAccumulator
 from repro.analysis.regional import regional_row
 from repro.analysis.reliability import ReliabilityTable
-from repro.columnar.interner import StringInterner
 from repro.grouping.stats import compute_group_statistics, empty_group_statistics
 from repro.live import fragments
 from repro.serving.state import (
@@ -48,7 +47,7 @@ from repro.serving.state import (
 )
 
 #: Occurrence-position sections: observations sweep before districts in
-#: the canonical interner order (:func:`~repro.columnar.interner
+#: the canonical interner order (:func:`~repro.analysis.interner
 #: .study_interner`).
 _OBS_SECTION = 0
 _DISTRICT_SECTION = 1
@@ -78,8 +77,6 @@ class DeltaSnapshotBuilder:
         # convention: a rebuild *replaces* the dict, so snapshots handed
         # out earlier keep the objects they were built with.
         self._bodies: dict[int, dict[str, object]] = {}
-        self._matched_key: dict[int, str | None] = {}
-        self._matched_keys: dict[str, int] = {}
         self._obs_fragment: dict[int, str] = {}
         self._merged_entry: dict[int, str] = {}
         self._district_entry: dict[int, str] = {}
@@ -151,9 +148,6 @@ class DeltaSnapshotBuilder:
                 [self._str_json[text] for text in interner_strings],
             )
         )
-        interner = StringInterner()
-        interner.intern_many(interner_strings)
-
         snapshot = ServingSnapshot(
             version=digest[:VERSION_TAG_LENGTH],
             digest=digest,
@@ -166,8 +160,6 @@ class DeltaSnapshotBuilder:
             funnel=dict(funnel.as_dict()),
             total_users=statistics.total_users,
             total_tweets=statistics.total_tweets,
-            interner=interner,
-            matched_keys=dict(self._matched_keys),
         )
         self._pending.clear()
         self._builds += 1
@@ -182,14 +174,7 @@ class DeltaSnapshotBuilder:
         grouping = acc.grouping_of(uid)
         district = acc.profile_district_of(uid)
 
-        body, matched_key = user_entry(uid, grouping, district)
-        self._bodies[uid] = body
-        previous_key = self._matched_key.get(uid)
-        if previous_key is not None and previous_key != matched_key:
-            del self._matched_keys[previous_key]
-        if matched_key is not None:
-            self._matched_keys[matched_key] = uid
-        self._matched_key[uid] = matched_key
+        self._bodies[uid] = user_entry(uid, grouping, district)
 
         self._obs_fragment[uid] = fragments.observation_fragment(rows)
         self._merged_entry[uid] = fragments.merged_entry(

@@ -36,9 +36,6 @@ from repro.analysis.correlation import StudyResult
 from repro.analysis.regional import RegionalRow, regional_breakdown
 from repro.analysis.reliability import ReliabilityTable
 from repro.analysis.serialization import load_study, study_digest
-from repro.columnar.interner import StringInterner, study_interner
-from repro.columnar.keys import location_key
-from repro.columnar.storage import is_columnar_study, load_study_columnar
 from repro.errors import ReproError
 from repro.geo.gazetteer import GazetteerBackend
 from repro.geo.region import District
@@ -54,8 +51,8 @@ def user_entry(
     user_id: int,
     grouping: UserGrouping,
     district: District | None,
-) -> tuple[dict[str, object], str | None]:
-    """One user's precomputed lookup body and matched-key, if any.
+) -> dict[str, object]:
+    """One user's precomputed lookup body.
 
     The body deliberately omits the reliability ``weight``: that value
     depends on *global* statistics (the group's mean matched share), so
@@ -67,19 +64,9 @@ def user_entry(
     delta builder (:mod:`repro.live.builder`) reuse it across builds.
     """
     matched_string = None
-    matched_key = None
     if grouping.matched_rank is not None:
-        matched = grouping.merged[grouping.matched_rank - 1]
-        matched_string = matched.render()
-        record = matched.record
-        matched_key = location_key(
-            record.user_id,
-            record.profile_state,
-            record.profile_county,
-            record.tweet_state,
-            record.tweet_county,
-        )
-    body: dict[str, object] = {
+        matched_string = grouping.merged[grouping.matched_rank - 1].render()
+    return {
         "user_id": user_id,
         "group": grouping.group.value,
         "matched_rank": grouping.matched_rank,
@@ -96,7 +83,6 @@ def user_entry(
         if district is not None
         else None,
     }
-    return body, matched_key
 
 
 def region_entry(row: RegionalRow) -> dict[str, object]:
@@ -139,15 +125,6 @@ class ServingSnapshot:
         statistics: Per-group statistics table (JSON view).
         funnel: Refinement funnel counters (JSON view).
         total_users / total_tweets: Study-level aggregates.
-        interner: The study's canonical string-id table
-            (:func:`~repro.columnar.interner.study_interner`) — the same
-            table a columnar artifact of this study embeds, so an
-            operator can prove a mmap-reloaded snapshot shares the live
-            one's id space by comparing ``interner.digest()``.
-        matched_keys: Lookup table from a matched string's
-            :func:`~repro.columnar.keys.location_key` to the user it
-            belongs to, precomputed over the interned merged columns at
-            build time (see :meth:`matched_user`).
     """
 
     version: str
@@ -161,8 +138,6 @@ class ServingSnapshot:
     funnel: dict[str, object]
     total_users: int
     total_tweets: int
-    interner: StringInterner
-    matched_keys: dict[str, int]
 
     @classmethod
     def from_study(cls, study: StudyResult) -> "ServingSnapshot":
@@ -174,17 +149,13 @@ class ServingSnapshot:
         """
         digest = study_digest(study)
         table = ReliabilityTable.from_statistics(study.statistics)
-        interner = study_interner(study.observations, study.profile_districts)
 
-        users: dict[int, dict[str, object]] = {}
-        matched_keys: dict[str, int] = {}
-        for user_id, grouping in study.groupings.items():
-            body, matched_key = user_entry(
+        users = {
+            user_id: user_entry(
                 user_id, grouping, study.profile_districts.get(user_id)
             )
-            users[user_id] = body
-            if matched_key is not None:
-                matched_keys[matched_key] = user_id
+            for user_id, grouping in study.groupings.items()
+        }
 
         regions: dict[str, dict[str, object]] = {}
         try:
@@ -208,19 +179,11 @@ class ServingSnapshot:
             funnel=dict(study.funnel.as_dict()),
             total_users=study.statistics.total_users,
             total_tweets=study.statistics.total_tweets,
-            interner=interner,
-            matched_keys=matched_keys,
         )
 
     def user(self, user_id: int) -> dict[str, object] | None:
         """The precomputed lookup body for ``user_id`` (``None`` unknown)."""
         return self.users.get(user_id)
-
-    def matched_user(self, key: str) -> int | None:
-        """The user whose *matched* string renders to ``key`` (``None``
-        unknown) — a reverse lookup over the precomputed
-        :attr:`matched_keys` table."""
-        return self.matched_keys.get(key)
 
     def region(self, state: str) -> dict[str, object] | None:
         """The precomputed body for profile state ``state`` (``None`` unknown)."""
@@ -238,23 +201,12 @@ class ServingSnapshot:
 
 
 def load_snapshot(path: str | Path, gazetteer: GazetteerBackend) -> ServingSnapshot:
-    """Load a study artifact and build its serving snapshot.
-
-    The format is sniffed from the file itself: a columnar buffer
-    (:data:`~repro.columnar.share.MAGIC` leading bytes) is mmap'd and
-    decoded lazily through :func:`~repro.columnar.storage
-    .load_study_columnar` — the reload path never parses JSON or copies
-    the column payloads — while anything else goes through the JSON
-    :func:`~repro.analysis.serialization.load_study`.  Both formats of
-    the same study produce snapshots with the same version tag, so a
-    reload that merely switches formats is observationally a no-op.
+    """Load a study JSON document and build its serving snapshot.
 
     Raises:
-        StorageError: on a missing/malformed artifact (propagated from
-            either loader).
+        StorageError: on a missing/malformed document (propagated from
+            :func:`~repro.analysis.serialization.load_study`).
     """
-    if is_columnar_study(path):
-        return ServingSnapshot.from_study(load_study_columnar(path, gazetteer))
     return ServingSnapshot.from_study(load_study(path, gazetteer))
 
 

@@ -20,20 +20,16 @@ import json
 from dataclasses import dataclass
 
 from repro.analysis.correlation import StudyResult
-from repro.columnar.grouping import ColumnarGrouper
 from repro.engine.context import RunContext
 from repro.grouping.incremental import IncrementalGrouper
 
 
-def state_digest(grouper: IncrementalGrouper | ColumnarGrouper) -> str:
+def state_digest(grouper: IncrementalGrouper) -> str:
     """SHA-256 over the grouper's canonical per-user merge counters.
 
-    Built from the grouper's ``export_counts`` (the record-keyed
-    :class:`~repro.grouping.incremental.IncrementalGrouper` and the
-    interned :class:`~repro.columnar.grouping.ColumnarGrouper` export
-    the identical rendered view) serialised with sorted keys, so the
-    digest depends only on *state*, never on arrival order or grouper
-    implementation — two accumulators that folded the same tweets in
+    Built from the grouper's ``export_counts`` serialised with sorted
+    keys, so the digest depends only on *state*, never on arrival
+    order — two accumulators that folded the same tweets in
     different batchings digest identically.
     """
     payload = json.dumps(grouper.export_counts(), sort_keys=True, ensure_ascii=False)

@@ -6,6 +6,36 @@ import pytest
 
 from repro.analysis.serialization import load_study, save_study
 from repro.errors import StorageError
+from repro.geodata.buffer import BufferWriter
+
+
+#: Malformed study documents, by name.
+_BAD_DOCUMENTS = {
+    "non-utf8": b'\xff\xfe{"format_version": 2}',
+    "json-array": b"[1, 2, 3]",
+    "no-sections": b'{"format_version": 2}',
+    "wrong-types": b'{"format_version": 2, "observations": 7}',
+}
+
+BAD_STUDY_NAMES = (*_BAD_DOCUMENTS, "buffer-file")
+
+
+def write_bad_studies(directory) -> dict[str, object]:
+    """Write every file :func:`load_study` must reject with a
+    ``StorageError``; returns their paths by name.
+
+    ``buffer-file`` is an ``RCOLBUF1`` buffer, the envelope the retired
+    columnar study files used.
+    """
+    paths = {}
+    for name, payload in _BAD_DOCUMENTS.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_bytes(payload)
+    writer = BufferWriter()
+    writer.add_i64("observations", [2**40, -1])
+    writer.add_strings("interner", ["Seoul", "서초구"])
+    paths["buffer-file"] = writer.write(directory / "study.buf")
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +113,12 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(StorageError):
+            load_study(path, korean_gazetteer)
+
+    @pytest.mark.parametrize("name", BAD_STUDY_NAMES)
+    def test_bad_input_raises_storage_error(self, tmp_path, korean_gazetteer, name):
+        path = write_bad_studies(tmp_path)[name]
+        with pytest.raises(StorageError, match=str(path.name)):
             load_study(path, korean_gazetteer)
 
     def test_version_mismatch(self, saved_path, tmp_path, korean_gazetteer):

@@ -4,6 +4,9 @@ import os
 
 import pytest
 
+from repro.analysis.correlation import run_study
+from repro.analysis.serialization import study_to_json
+from repro.engine import EngineConfig
 from repro.engine.sharding import ShardedExecutor, WorkerFaultPlan, partition
 from repro.errors import ConfigurationError, ShardExecutionError
 
@@ -18,6 +21,11 @@ def _with_payload(chunk, payload):
 
 def _chunk_pid(chunk, payload):
     return (list(chunk), os.getpid())
+
+
+def _echo_worker(chunk, payload):
+    """Module-level (picklable) worker: returns its chunk unchanged."""
+    return list(chunk)
 
 
 def _boom_on_seven(chunk, payload):
@@ -167,3 +175,41 @@ class TestFailureSemantics:
             with pytest.warns(RuntimeWarning):
                 report = ex.run_shards(list(range(6)), _double)
         assert report.results == [[0, 2, 4], [6, 8, 10]]
+
+
+def _run(dataset, name, **config):
+    return run_study(
+        dataset.users,
+        dataset.tweets,
+        dataset.gazetteer,
+        dataset_name=name,
+        engine_config=EngineConfig(**config),
+    )
+
+
+class TestNoPoolRegression:
+    def test_single_shard_never_forks(self):
+        with ShardedExecutor(shards=1, backend="process") as executor:
+            report = executor.run_shards([1, 2, 3], _echo_worker)
+            assert report.results == [[1, 2, 3]]
+            assert executor._pool is None
+
+    def test_empty_workload_never_forks(self):
+        with ShardedExecutor(shards=4, backend="process") as executor:
+            report = executor.run_shards([], _echo_worker)
+            assert report.results == [[], [], [], []]
+            assert executor._pool is None
+
+    def test_nonempty_multishard_workload_does_fork(self):
+        with ShardedExecutor(shards=2, backend="process") as executor:
+            report = executor.run_shards([1, 2, 3, 4], _echo_worker)
+            assert report.results == [[1, 2], [3, 4]]
+            assert executor._pool is not None
+
+    def test_process_single_shard_matches_serial(self, small_ctx):
+        """The regression the pool fix pins: ``--backend process
+        --shards 1`` answers inline and byte-identically to serial."""
+        source = small_ctx.korean_dataset
+        serial = _run(source, "korean")
+        process = _run(source, "korean", shards=1, backend="process")
+        assert study_to_json(process) == study_to_json(serial)

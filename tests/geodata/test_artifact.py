@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.columnar.share import BufferReader, BufferWriter
+from repro.geodata.buffer import BufferReader, BufferWriter
 from repro.errors import StorageError, UnknownRegionError
 from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
@@ -87,7 +87,7 @@ class TestOpenValidation:
 
     def test_not_a_buffer_file(self, tmp_path):
         path = tmp_path / "junk.rgaz"
-        path.write_bytes(b"definitely not a columnar buffer file")
+        path.write_bytes(b"definitely not a buffer file")
         with pytest.raises(StorageError):
             open_gazetteer_artifact(path)
 

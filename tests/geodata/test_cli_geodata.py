@@ -131,7 +131,7 @@ class TestInfo:
         assert len(lines) == 1
 
     def test_version_mismatch_exits_3_one_line(self, capsys, tmp_path):
-        from repro.columnar.share import BufferWriter
+        from repro.geodata.buffer import BufferWriter
 
         writer = BufferWriter()
         writer.add_blob(

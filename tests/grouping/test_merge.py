@@ -88,6 +88,25 @@ class TestTieBreakPolicies:
         desc = merge_strings(self._tied_rows(), tie_break=TieBreak.STRING_DESC)
         assert [m.record for m in desc[1]] == list(reversed([m.record for m in asc[1]]))
 
+    def test_string_desc_reverses_ties_between_prefixes(self):
+        """County "Jung" renders to a prefix of county "Jung-gu" in the
+        same state; descending order must still put the longer first."""
+        from repro.grouping.merge import TieBreak
+
+        rows = [
+            _record(1, "Mapo-gu", "Jung"),
+            _record(1, "Mapo-gu", "Jung-gu"),
+            _record(1, "Mapo-gu", "Jung-gu-dong"),
+        ]
+        asc = merge_strings(rows, tie_break=TieBreak.STRING_ASC)
+        desc = merge_strings(rows, tie_break=TieBreak.STRING_DESC)
+        assert [m.record.tweet_county for m in asc[1]] == [
+            "Jung",
+            "Jung-gu",
+            "Jung-gu-dong",
+        ]
+        assert [m.record for m in desc[1]] == list(reversed([m.record for m in asc[1]]))
+
     def test_count_order_unaffected_by_policy(self):
         from repro.grouping.merge import TieBreak
 

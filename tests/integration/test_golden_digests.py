@@ -5,8 +5,11 @@ The digests below were recorded from ``repro study`` at the fast flags
 population, tweet generation, storage order, geocoding or grouping that
 moves a single byte of the study document moves its digest, so a change
 meant to be output-neutral (a speed-up, a refactor) must leave these
-equal.  The CLI-default Korean study is checked against the digests the
-repository benchmark recorded in ``perfbench/digests.json``.
+equal.  Every execution path is held to the same digests: serial and
+sharded engine runs on both backends, the end-of-stream accumulator
+snapshot, and the live delta builder's cold build.  The CLI-default
+Korean study is checked against the digests the repository benchmark
+recorded in ``perfbench/digests.json``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.analysis.correlation import run_study
+from repro.analysis.incremental import IncrementalStudyAccumulator
 from repro.analysis.serialization import study_digest
+from repro.engine import EngineConfig
+from repro.live import DeltaSnapshotBuilder
+from repro.streaming import FirehoseSource
 
 FAST_FLAGS = ["--population", "400", "--users", "300", "--days", "10", "--seed", "13"]
 
@@ -36,10 +44,58 @@ def _cli_study_digest(argv: list[str]) -> tuple[int, str]:
     return args.seed, study_digest(study)
 
 
+@pytest.fixture(scope="module", params=sorted(GOLDEN_FAST))
+def fast_dataset(request):
+    """``(name, dataset)`` built at the fast flags."""
+    args = cli.build_parser().parse_args(
+        ["study", "--dataset", request.param, *FAST_FLAGS]
+    )
+    return request.param, cli._build_dataset(args)
+
+
+def _folded_accumulator(dataset, batch_size=97):
+    """An accumulator that folded the whole stream in fixed-size batches."""
+    accumulator = IncrementalStudyAccumulator(dataset.gazetteer, dataset.users)
+    source = FirehoseSource(dataset.tweets, dataset.users)
+    tweets = [tweet for _, tweet in source.iter_from(0)]
+    for start in range(0, len(tweets), batch_size):
+        accumulator.fold(tweets[start : start + batch_size])
+    return accumulator
+
+
 @pytest.mark.parametrize("dataset", sorted(GOLDEN_FAST))
 def test_fast_flag_study_digest(dataset):
     _, digest = _cli_study_digest(["--dataset", dataset, *FAST_FLAGS])
     assert digest == GOLDEN_FAST[dataset]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"shards": 3}, {"shards": 2, "backend": "process"}],
+    ids=["serial-3-shards", "process-2-shards"],
+)
+def test_sharded_engine_digest(fast_dataset, config):
+    name, dataset = fast_dataset
+    study = run_study(
+        dataset.users,
+        dataset.tweets,
+        dataset.gazetteer,
+        dataset_name=name,
+        engine_config=EngineConfig(**config),
+    )
+    assert study_digest(study) == GOLDEN_FAST[name]
+
+
+def test_end_of_stream_snapshot_digest(fast_dataset):
+    name, dataset = fast_dataset
+    accumulator = _folded_accumulator(dataset)
+    assert study_digest(accumulator.snapshot(name)) == GOLDEN_FAST[name]
+
+
+def test_delta_builder_cold_build_digest(fast_dataset):
+    name, dataset = fast_dataset
+    builder = DeltaSnapshotBuilder(_folded_accumulator(dataset), dataset_name=name)
+    assert builder.build().digest == GOLDEN_FAST[name]
 
 
 def test_cli_default_korean_matches_benchmark_digest():

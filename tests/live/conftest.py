@@ -47,8 +47,6 @@ def assert_snapshots_identical(live: ServingSnapshot, batch: ServingSnapshot):
     assert live.funnel == batch.funnel
     assert live.total_users == batch.total_users
     assert live.total_tweets == batch.total_tweets
-    assert live.matched_keys == batch.matched_keys
-    assert live.interner.digest() == batch.interner.digest()
 
 
 def batch_snapshot_of(

@@ -11,7 +11,7 @@ import hashlib
 import json
 
 from repro.analysis.serialization import study_digest, study_to_json
-from repro.columnar.interner import study_interner
+from repro.analysis.interner import study_interner
 from repro.live import fragments
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main, package_version
+from tests.analysis.test_serialization import BAD_STUDY_NAMES, write_bad_studies
 
 FAST = ["--population", "400", "--users", "300", "--days", "10", "--seed", "13"]
 
@@ -127,23 +128,6 @@ class TestStudy:
                      "--shards", "4", *FAST]) == 0
         parallel = capsys.readouterr().out
         assert parallel == serial
-
-    def test_study_no_columnar_matches_default(self, capsys):
-        """--no-columnar falls back to per-user dict merging; the output
-        must not move by a byte."""
-        assert main(["study", "--dataset", "korean", *FAST]) == 0
-        columnar = capsys.readouterr().out
-        assert main(["study", "--dataset", "korean", "--no-columnar", *FAST]) == 0
-        dicts = capsys.readouterr().out
-        assert dicts == columnar
-
-    def test_columnar_defaults_on(self):
-        args = build_parser().parse_args(["study", "--dataset", "korean"])
-        assert args.columnar is True
-        args = build_parser().parse_args(
-            ["study", "--dataset", "korean", "--no-columnar"]
-        )
-        assert args.columnar is False
 
     def test_shard_failure_exits_code_4(self, capsys, monkeypatch):
         """A worker exception surfaces as exit code 4 with the shard and
@@ -283,6 +267,16 @@ class TestServe:
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text("{ this is not a study", encoding="utf-8")
         code = main(["serve", "--snapshot", str(corrupt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: cannot serve:" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", BAD_STUDY_NAMES)
+    def test_serve_bad_study_file_fails_cleanly(self, capsys, tmp_path, name):
+        path = write_bad_studies(tmp_path)[name]
+        code = main(["serve", "--snapshot", str(path)])
         assert code == 3
         err = capsys.readouterr().err
         assert "error: cannot serve:" in err

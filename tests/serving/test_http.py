@@ -10,8 +10,10 @@ import urllib.request
 
 import pytest
 
+from repro.analysis.serialization import save_study
 from repro.errors import StorageError
-from repro.serving import StudyServer, TokenBucket, encode_body
+from repro.serving import StudyServer, TokenBucket, encode_body, load_snapshot
+from tests.analysis.test_serialization import BAD_STUDY_NAMES, write_bad_studies
 from tests.serving.test_ratelimit import FakeClock
 
 
@@ -193,6 +195,48 @@ class TestReload:
         assert health["generation"] == 1
         metrics = body_of(app.dispatch("GET", "/metrics"))["metrics"]
         assert metrics["serving.reload_failures"] == 1
+
+    @pytest.mark.parametrize("name", BAD_STUDY_NAMES)
+    def test_reload_of_bad_study_file_keeps_the_old_snapshot(
+        self, make_app, small_ctx, korean_snapshot, tmp_path, name
+    ):
+        gazetteer = small_ctx.korean_dataset.gazetteer
+        path = write_bad_studies(tmp_path)[name]
+        app = make_app(snapshot_loader=lambda target: load_snapshot(target, gazetteer))
+        status, payload = app.dispatch("POST", f"/admin/reload?snapshot={path}")
+        assert status == 500
+        assert json.loads(payload)["error"].startswith("reload failed:")
+        health = body_of(app.dispatch("GET", "/healthz"))
+        assert health["version"] == korean_snapshot.version
+        assert health["generation"] == 1
+        metrics = body_of(app.dispatch("GET", "/metrics"))["metrics"]
+        assert metrics["serving.reload_failures"] == 1
+
+
+class TestLatencyEpochAcrossReload:
+    def test_window_resets_on_swap_lifetime_survives(
+        self, small_ctx, make_app, tmp_path
+    ):
+        path = tmp_path / "korean.json"
+        save_study(small_ctx.korean_study, path)
+        app = make_app(
+            reloader=lambda: load_snapshot(path, small_ctx.korean_dataset.gazetteer)
+        )
+        user_id = next(iter(app.store.current().users))
+        target = f"/lookup?user={user_id}"
+        for _ in range(5):
+            app.dispatch("GET", target)
+        histogram = app.metrics.histogram("serving.latency.lookup")
+        assert histogram.count == 5
+        assert histogram.epoch == 1
+        assert len(histogram._ring) == 5
+
+        app.dispatch("POST", "/admin/reload")
+        app.dispatch("GET", target)
+        assert histogram.epoch == 2
+        # Window holds only the post-swap sample; lifetime spans both.
+        assert len(histogram._ring) == 1
+        assert histogram.count == 6
 
 
 class TestHttpServer:

@@ -10,7 +10,6 @@ import repro
 PACKAGES = [
     "repro",
     "repro.analysis",
-    "repro.columnar",
     "repro.datasets",
     "repro.engine",
     "repro.events",
