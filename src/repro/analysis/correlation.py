@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.datasets.refine import RefinementFunnel
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import District
 from repro.grouping.stats import GroupStatistics
 from repro.grouping.topk import UserGrouping
@@ -55,7 +55,7 @@ class StudyResult:
 def run_study(
     users: UserStore,
     tweets: TweetStore,
-    gazetteer: GazetteerBackend,
+    gazetteer: Gazetteer,
     dataset_name: str = "dataset",
     min_gps_tweets: int = 1,
     placefinder: PlaceFinderClient | None = None,

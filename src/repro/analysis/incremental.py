@@ -43,7 +43,7 @@ from repro.analysis.correlation import StudyResult
 from repro.datasets.refine import RefinementFunnel
 from repro.errors import ConfigurationError
 from repro.geo.forward import GeocodeStatus, TextGeocoder
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import District
 from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import PlaceFinderBackend
@@ -92,7 +92,7 @@ class IncrementalStudyAccumulator:
 
     def __init__(
         self,
-        gazetteer: GazetteerBackend,
+        gazetteer: Gazetteer,
         directory: UserStore,
         tie_break: TieBreak = TieBreak.STRING_ASC,
         min_gps_tweets: int = 1,

@@ -22,14 +22,13 @@ never on the delimited record.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable
 
 from repro.errors import ConfigurationError
 
 
 class StringInterner:
-    """A bidirectional string ↔ dense-integer-id table.
+    """A string → dense-integer-id table (:meth:`to_lines` inverts it).
 
     Ids are assigned in first-encounter order starting at 0, so two
     interners fed the same strings in the same order are identical —
@@ -44,9 +43,6 @@ class StringInterner:
 
     def __len__(self) -> int:
         return len(self._strings)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._ids
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StringInterner):
@@ -63,36 +59,6 @@ class StringInterner:
         table[text] = assigned
         self._strings.append(text)
         return assigned
-
-    def intern_many(self, texts: Iterable[str]) -> list[int]:
-        """Intern every string of ``texts``, returning their ids in order."""
-        return [self.intern(text) for text in texts]
-
-    def id_of(self, text: str) -> int:
-        """The id of an already-interned string.
-
-        Raises:
-            KeyError: if ``text`` has never been interned.
-        """
-        return self._ids[text]
-
-    def lookup(self, string_id: int) -> str:
-        """The string behind ``string_id``.
-
-        Raises:
-            ConfigurationError: for an id the table never assigned.
-        """
-        if not 0 <= string_id < len(self._strings):
-            raise ConfigurationError(
-                f"interner id {string_id} out of range "
-                f"(table holds {len(self._strings)} strings)"
-            )
-        return self._strings[string_id]
-
-    @property
-    def strings(self) -> tuple[str, ...]:
-        """Every interned string, in id order (index == id)."""
-        return tuple(self._strings)
 
     # ----------------------------------------------------------- persistence
     def to_lines(self) -> list[str]:
@@ -122,18 +88,6 @@ class StringInterner:
                     f"{assigned})"
                 )
         return interner
-
-    def digest(self) -> str:
-        """SHA-256 over the table contents (order-sensitive).
-
-        Two interners digest equal iff they assign every id identically.
-        """
-        hasher = hashlib.sha256()
-        for text in self._strings:
-            encoded = text.encode("utf-8")
-            hasher.update(len(encoded).to_bytes(4, "little"))
-            hasher.update(encoded)
-        return hasher.hexdigest()
 
 
 def study_interner(observations, profile_districts=None) -> StringInterner:

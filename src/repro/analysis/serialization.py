@@ -21,7 +21,7 @@ from repro.analysis.correlation import StudyResult
 from repro.analysis.interner import StringInterner, study_interner
 from repro.datasets.refine import RefinementFunnel
 from repro.errors import ConfigurationError, ReproError, StorageError
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.grouping.merge import MergedString
 from repro.grouping.strings import LocationString
 from repro.grouping.stats import compute_group_statistics
@@ -118,7 +118,7 @@ def save_study(study: StudyResult, path: str | Path) -> None:
     Path(path).write_text(study_to_json(study), encoding="utf-8")
 
 
-def load_study(path: str | Path, gazetteer: GazetteerBackend) -> StudyResult:
+def load_study(path: str | Path, gazetteer: Gazetteer) -> StudyResult:
     """Restore a study result saved by :func:`save_study`.
 
     Groupings and statistics are *recomputed* from the stored merged
@@ -160,7 +160,7 @@ def load_study(path: str | Path, gazetteer: GazetteerBackend) -> StudyResult:
 
 
 def _study_from_document(
-    document: dict[str, Any], gazetteer: GazetteerBackend, path: str | Path
+    document: dict[str, Any], gazetteer: Gazetteer, path: str | Path
 ) -> StudyResult:
     """Build the :class:`StudyResult` a parsed, version-checked document holds."""
     observations = [

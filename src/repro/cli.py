@@ -11,7 +11,7 @@ Commands:
 * ``serve``       — online query API over a saved study snapshot
 * ``live``        — ingestion + serving in one process with delta snapshots
 * ``fleet``       — multi-replica serving with health-gated snapshot rollout
-* ``geodata``     — compile / inspect mmap gazetteer artifacts (RGAZ1)
+* ``geodata``     — compile / inspect gazetteer artifacts (RGAZ1)
 
 Everything is deterministic given ``--seed``; ``--shards``/``--backend``
 change only how the study executes, never its result.
@@ -66,6 +66,7 @@ from repro.events.evaluation import (
     make_korean_scenarios,
     render_localization_table,
 )
+from repro.geo.gazetteer import BUILTIN_GRID_DEG
 from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import DirectBackend
 from repro.geocode.service import GeocodeService
@@ -331,7 +332,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_geodata_prepare(args: argparse.Namespace) -> int:
-    """Compile a district catalogue into an mmap gazetteer artifact."""
+    """Compile a district catalogue into a gazetteer artifact."""
     try:
         summary = prepare_artifact(
             args.out,
@@ -948,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_publish.set_defaults(func=_cmd_fleet_publish)
 
     geodata = subparsers.add_parser(
-        "geodata", help="compile / inspect mmap gazetteer artifacts"
+        "geodata", help="compile / inspect gazetteer artifacts (RGAZ1)"
     )
     geodata_sub = geodata.add_subparsers(dest="geodata_command", required=True)
     prepare = geodata_sub.add_parser(
@@ -956,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prepare.add_argument("--out", required=True, help="artifact path to write")
     prepare.add_argument(
-        "--catalogue", choices=("korean", "world", "combined"), default="",
+        "--catalogue", choices=tuple(BUILTIN_GRID_DEG), default="",
         help="builtin catalogue to compile (alternative to --districts)",
     )
     prepare.add_argument(
@@ -969,7 +970,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prepare.add_argument(
         "--grid-deg", type=float, default=None,
-        help="spatial grid cell size in degrees (default: catalogue's)",
+        help="spatial grid cell size in degrees, 0.01 to 180 "
+             "(default: catalogue's)",
     )
     prepare.set_defaults(func=_cmd_geodata_prepare)
     info = geodata_sub.add_parser(

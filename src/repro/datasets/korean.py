@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geodata.registry import dataset_gazetteer
 from repro.storage.tweetstore import TweetStore
 from repro.storage.userstore import UserStore
@@ -82,7 +82,7 @@ class KoreanDataset:
 
     users: UserStore
     tweets: TweetStore
-    gazetteer: GazetteerBackend
+    gazetteer: Gazetteer
     summary: DatasetSummary
     crawl: CrawlResult
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geodata.registry import dataset_gazetteer
 from repro.storage.tweetstore import TweetStore
 from repro.storage.userstore import UserStore
@@ -97,7 +97,7 @@ class LadyGagaDataset:
 
     users: UserStore
     tweets: TweetStore
-    gazetteer: GazetteerBackend
+    gazetteer: Gazetteer
     summary: DatasetSummary
     stream_stats: StreamStats
 

@@ -30,7 +30,7 @@ from repro.engine.stages import (
 from repro.engine.stages import ENGINE_QUOTA
 from repro.errors import ConfigurationError, InsufficientDataError
 from repro.geo.forward import TextGeocoder
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import PlaceFinderBackend
 from repro.geocode.service import GeocodeService, cell_cache_path
@@ -137,7 +137,7 @@ class StudyEngine:
 
     def __init__(
         self,
-        gazetteer: GazetteerBackend,
+        gazetteer: Gazetteer,
         config: EngineConfig | None = None,
         placefinder: PlaceFinderClient | None = None,
         stages: list[Stage] | None = None,

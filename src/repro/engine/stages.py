@@ -31,7 +31,7 @@ from repro.engine.context import RunContext
 from repro.engine.sharding import ShardedExecutor, ShardRunReport
 from repro.errors import ConfigurationError
 from repro.geo.forward import GeocodeStatus, TextGeocoder
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import AdminPath, District
 from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.cellstore import Cell
@@ -93,7 +93,7 @@ class StudyState:
     users: UserStore
     tweets: TweetStore
     text_geocoder: TextGeocoder
-    gazetteer: GazetteerBackend | None = None
+    gazetteer: Gazetteer | None = None
     placefinder: PlaceFinderClient | None = None
     geocode: GeocodeService | None = None
     executor: ShardedExecutor = field(default_factory=ShardedExecutor)

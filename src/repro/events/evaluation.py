@@ -25,7 +25,7 @@ from repro.events.weighted import (
     WeightedCentroidLocalizer,
     build_measurements,
 )
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.region import District
 
@@ -86,7 +86,7 @@ def default_estimators() -> dict[str, object]:
     }
 
 
-def make_korean_scenarios(gazetteer: GazetteerBackend, onset_ms: int = 1_320_000_000_000) -> list[EventScenario]:
+def make_korean_scenarios(gazetteer: Gazetteer, onset_ms: int = 1_320_000_000_000) -> list[EventScenario]:
     """Three earthquake scenarios near population centres.
 
     Epicentres sit near (but not on) major districts so witnesses exist
@@ -131,7 +131,7 @@ class LocalizationExperiment:
     def __init__(
         self,
         study: StudyResult,
-        gazetteer: GazetteerBackend,
+        gazetteer: Gazetteer,
         profile_districts: dict[int, District],
         gps_rate: float = 0.2,
         seed: int = 7,

@@ -14,7 +14,7 @@ import random
 
 from repro.errors import ConfigurationError
 from repro.events.scenario import EventScenario, WitnessGenerator
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.grouping.topk import UserGrouping
 from repro.twitter.idgen import SnowflakeGenerator
 from repro.twitter.models import Tweet
@@ -29,7 +29,7 @@ class EventTweetInjector:
         seed: Witness-draw seed.
     """
 
-    def __init__(self, gazetteer: GazetteerBackend, gps_rate: float = 0.2, seed: int = 7):
+    def __init__(self, gazetteer: Gazetteer, gps_rate: float = 0.2, seed: int = 7):
         if not 0.0 <= gps_rate <= 1.0:
             raise ConfigurationError("gps_rate must be in [0, 1]")
         self._witnesses = WitnessGenerator(gazetteer, gps_rate=gps_rate, seed=seed)

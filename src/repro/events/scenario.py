@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.region import District
 from repro.grouping.topk import UserGrouping
@@ -95,7 +95,7 @@ class WitnessGenerator:
         seed: RNG seed.
     """
 
-    def __init__(self, gazetteer: GazetteerBackend, gps_rate: float = 0.2, seed: int = 7):
+    def __init__(self, gazetteer: Gazetteer, gps_rate: float = 0.2, seed: int = 7):
         if not 0.0 <= gps_rate <= 1.0:
             raise ConfigurationError("gps_rate must be in [0, 1]")
         self._gazetteer = gazetteer

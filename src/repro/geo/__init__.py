@@ -4,9 +4,9 @@ Public surface of :mod:`repro.geo`:
 
 * :class:`GeoPoint` plus great-circle helpers (:func:`haversine_km`, ...)
 * :class:`District`, :class:`AdminPath`, :class:`BoundingBox` region model
-* :class:`Gazetteer` with Korean / world / combined factory catalogues,
-  the :class:`GazetteerBackend` protocol it implements, and the
-  :class:`SpatialGridCore` search algorithm every backend shares
+* :class:`Gazetteer` with the builtin Korean / world / combined
+  catalogues (:func:`builtin_districts`, :data:`BUILTIN_GRID_DEG`) and
+  the :class:`SpatialGridCore` search algorithm it inherits
 * :class:`BoundaryPolygon` authoritative district outlines
 * :class:`ReverseGeocoder` (GPS -> admin path, polygon-first)
 * :class:`TextGeocoder` (free text -> district) and its status codes
@@ -18,10 +18,10 @@ from repro.geo.forward import (
     TextGeocoder,
 )
 from repro.geo.gazetteer import (
+    BUILTIN_GRID_DEG,
     Gazetteer,
-    GazetteerBackend,
     SpatialGridCore,
-    combined_districts,
+    builtin_districts,
 )
 from repro.geo.mentions import PlaceMention, PlaceMentionExtractor
 from repro.geo.polygon import BoundaryPolygon
@@ -45,6 +45,7 @@ from repro.geo.region import (
 from repro.geo.reverse import ReverseGeocodeResult, ReverseGeocoder
 
 __all__ = [
+    "BUILTIN_GRID_DEG",
     "EARTH_RADIUS_KM",
     "AdminPath",
     "BoundaryPolygon",
@@ -53,7 +54,6 @@ __all__ = [
     "DistrictKind",
     "ForwardGeocodeResult",
     "Gazetteer",
-    "GazetteerBackend",
     "GeocodeStatus",
     "GeoPoint",
     "PlaceMention",
@@ -63,8 +63,8 @@ __all__ = [
     "ReverseGeocoder",
     "SpatialGridCore",
     "TextGeocoder",
+    "builtin_districts",
     "centroid",
-    "combined_districts",
     "destination_point",
     "geographic_median",
     "haversine_km",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.korea import STATE_ALIASES
 from repro.geo.point import GeoPoint
 from repro.geo.region import District
@@ -72,7 +72,7 @@ class ForwardGeocodeResult:
 class TextGeocoder:
     """Resolves free-text location fields against a gazetteer."""
 
-    def __init__(self, gazetteer: GazetteerBackend):
+    def __init__(self, gazetteer: Gazetteer):
         self._gazetteer = gazetteer
         # State-name lookup: canonical gazetteer states plus romanisation
         # aliases for the Korean ones.
@@ -82,7 +82,7 @@ class TextGeocoder:
                 self._state_names[alias] = canonical
 
     @property
-    def gazetteer(self) -> GazetteerBackend:
+    def gazetteer(self) -> Gazetteer:
         """The underlying district catalogue."""
         return self._gazetteer
 

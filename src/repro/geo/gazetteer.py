@@ -7,21 +7,14 @@ resolves free-text profile locations).  Keeping one catalogue guarantees
 the round trip "resident of X tweets near X's centroid -> reverse geocodes
 to X" that the study's matched-string logic depends on.
 
-Two implementations share one contract:
-
-* :class:`Gazetteer` — the in-memory catalogue built from Python
-  :class:`~repro.geo.region.District` objects (this module).
-* :class:`~repro.geodata.mmapgaz.MmapGazetteer` — the same catalogue read
-  zero-copy out of an ``RGAZ1`` artifact produced by
-  ``repro geodata prepare``.
-
-Both subclass :class:`SpatialGridCore`, which owns the *entire* spatial
-search algorithm — cell mapping, Chebyshev shell expansion, the provable
-stopping bound, tie-breaking, and point-in-polygon candidate lookup —
-parameterised only by tiny index accessors.  Because the algorithm is
-shared and both backends store grid buckets in catalogue order, the two
-return bit-identical answers, ties included; consumers depend on the
-structural :class:`GazetteerBackend` protocol rather than either class.
+:class:`Gazetteer` is the one implementation: an in-memory catalogue of
+:class:`~repro.geo.region.District` objects, built from a builtin
+catalogue (:data:`BUILTIN_GRID_DEG` names them) or decoded from an
+``RGAZ1`` artifact by :func:`repro.geodata.artifact.read_gazetteer_artifact`.
+Its spatial search algorithm — cell mapping, Chebyshev shell expansion,
+the provable stopping bound, tie-breaking, and point-in-polygon candidate
+lookup — lives in the base class :class:`SpatialGridCore`, which reads the
+catalogue only through a few index accessors.
 
 Lookup structures:
 
@@ -45,84 +38,20 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Protocol, runtime_checkable
 
-from repro.errors import UnknownRegionError
+from repro.errors import ConfigurationError, UnknownRegionError
 from repro.geo.point import EARTH_RADIUS_KM, GeoPoint
 from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import BoundingBox, District
 
 
-@runtime_checkable
-class GazetteerBackend(Protocol):
-    """The catalogue contract every gazetteer consumer depends on.
-
-    Structural: any object with these members qualifies — the in-memory
-    :class:`Gazetteer` and the mmap-backed
-    :class:`~repro.geodata.mmapgaz.MmapGazetteer` both do.  Implementations
-    must agree bit-for-bit on every query (including nearest-neighbour
-    tie-breaks), which is why both derive from :class:`SpatialGridCore`.
-    """
-
-    def __len__(self) -> int:
-        """Number of districts in the catalogue."""
-        ...
-
-    def __iter__(self) -> Iterator[District]:
-        """Iterate districts in catalogue order."""
-        ...
-
-    @property
-    def districts(self) -> tuple[District, ...]:
-        """All districts, in catalogue order."""
-        ...
-
-    @property
-    def states(self) -> tuple[str, ...]:
-        """All STATE-level names, sorted."""
-        ...
-
-    def in_state(self, state: str) -> tuple[District, ...]:
-        """Districts belonging to ``state`` (raises on unknown states)."""
-        ...
-
-    def get(self, state: str, county: str) -> District:
-        """Exact lookup by ``(state, county)`` (raises on a miss)."""
-        ...
-
-    def find(self, state: str, county: str) -> District | None:
-        """Exact lookup returning ``None`` instead of raising."""
-        ...
-
-    def lookup_alias(self, alias: str) -> tuple[District, ...]:
-        """All districts matching a case-folded alias (possibly several)."""
-        ...
-
-    def nearest(self, point: GeoPoint) -> District:
-        """The district whose centroid is closest to ``point``."""
-        ...
-
-    def nearest_within(self, point: GeoPoint, max_km: float) -> District | None:
-        """Like ``nearest`` but ``None`` if the best match is too far."""
-        ...
-
-    def within(self, point: GeoPoint, radius_km: float) -> tuple[District, ...]:
-        """All districts whose centroid is within ``radius_km``, nearest first."""
-        ...
-
-    def polygon_locate(self, point: GeoPoint) -> District | None:
-        """The district whose boundary polygon contains ``point``, if any."""
-        ...
-
-
 class SpatialGridCore:
-    """The shared spatial-search algorithm behind every gazetteer backend.
+    """The spatial-search algorithm behind :class:`Gazetteer`.
 
     Subclasses call :meth:`_init_spatial` during construction and provide
     the index accessors below; everything else — cell mapping, shell
     expansion, the provable stopping bound, first-seen-wins tie-breaking,
-    and polygon candidate lookup — lives here exactly once, so the
-    in-memory and mmap backends cannot drift apart:
+    and polygon candidate lookup — lives here:
 
     * :meth:`_bucket` — district indices homed in one grid cell, in
       catalogue order (tie-breaks depend on it).
@@ -240,8 +169,9 @@ class SpatialGridCore:
         the best distance so far is provably shorter than anything a
         further shell could hold (:meth:`_ring_lower_bound_km`) — exact at
         cell boundaries, near the poles, and across the antimeridian.
-        Ties break to the first candidate encountered (strict ``<``), so
-        identical bucket ordering across backends yields identical answers.
+        Ties break to the first candidate encountered (strict ``<``):
+        shells inside out, cells in shell order, each bucket in catalogue
+        order.
         """
         max_ring = int(math.ceil(360.0 / self._grid_deg)) + 2
         best = -1
@@ -301,7 +231,7 @@ class SpatialGridCore:
         Each polygon is registered in every grid cell its bbox overlaps;
         per-cell lists keep ascending polygon order, which (polygons being
         stored in ascending district order) makes overlapping claims
-        resolve to the lowest catalogue index on every backend.
+        resolve to the lowest catalogue index.
         """
         if self._poly_cells is None:
             cells: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -342,6 +272,15 @@ class SpatialGridCore:
         return None
 
 
+#: Accepted spatial-grid cell sizes in degrees, inclusive: a finer grid
+#: makes ``nearest()`` scan tens of thousands of empty shells, and a
+#: non-finite or non-positive one has no cells at all.
+GRID_DEG_RANGE = (0.01, 180.0)
+
+#: Grid cell size (degrees) of each builtin catalogue, by name.
+BUILTIN_GRID_DEG = {"korean": 0.5, "world": 2.0, "combined": 1.0}
+
+
 class Gazetteer(SpatialGridCore):
     """An immutable in-memory catalogue of districts with fast lookups."""
 
@@ -356,13 +295,25 @@ class Gazetteer(SpatialGridCore):
         Args:
             districts: The districts to index.  ``(state, name)`` pairs must
                 be unique.
-            grid_deg: Cell size of the spatial index in degrees.
+            grid_deg: Cell size of the spatial index in degrees, within
+                :data:`GRID_DEG_RANGE`.
             polygons: Optional boundary layer as ``((state, county),
                 polygon)`` pairs; every key must name a catalogue district.
+
+        Raises:
+            UnknownRegionError: on an empty catalogue, a duplicate key, or
+                a polygon naming an unknown district.
+            ConfigurationError: if ``grid_deg`` is outside
+                :data:`GRID_DEG_RANGE` (NaN and infinities included).
         """
         self._districts: tuple[District, ...] = tuple(districts)
         if not self._districts:
             raise UnknownRegionError("gazetteer requires at least one district")
+        low, high = GRID_DEG_RANGE
+        if not low <= grid_deg <= high:  # also false for NaN
+            raise ConfigurationError(
+                f"grid_deg must be within [{low}, {high}] degrees, got {grid_deg!r}"
+            )
         self._init_spatial(grid_deg)
 
         self._by_key: dict[tuple[str, str], int] = {}
@@ -485,18 +436,23 @@ class Gazetteer(SpatialGridCore):
 
     # ---------------------------------------------------------------- factory
     @classmethod
+    def builtin(cls, name: str) -> "Gazetteer":
+        """The builtin catalogue ``name`` (a key of :data:`BUILTIN_GRID_DEG`).
+
+        Raises:
+            UnknownRegionError: for a name that is not a builtin catalogue.
+        """
+        return cls(builtin_districts(name), grid_deg=BUILTIN_GRID_DEG[name])
+
+    @classmethod
     def korean(cls) -> "Gazetteer":
         """The Korean administrative gazetteer used by the main study."""
-        from repro.geo.korea import korean_districts
-
-        return cls(korean_districts())
+        return cls.builtin("korean")
 
     @classmethod
     def world(cls) -> "Gazetteer":
         """The world-city gazetteer used by the streaming dataset."""
-        from repro.geo.world import world_cities
-
-        return cls(world_cities(), grid_deg=2.0)
+        return cls.builtin("world")
 
     @classmethod
     def combined(cls) -> "Gazetteer":
@@ -505,18 +461,30 @@ class Gazetteer(SpatialGridCore):
         The combined catalogue backs the Lady Gaga pipeline, whose stream
         contains both Korean and worldwide users.
         """
-        return cls(combined_districts(), grid_deg=1.0)
+        return cls.builtin("combined")
 
 
-def combined_districts() -> list[District]:
-    """The combined Korean + world catalogue, in canonical order.
+def builtin_districts(name: str) -> list[District]:
+    """The district sequence of builtin catalogue ``name``, in canonical order.
 
-    Shared by :meth:`Gazetteer.combined` and the ``geodata prepare``
-    pipeline so both backends index the identical district sequence.
+    ``combined`` is the Korean catalogue followed by every world city
+    outside South Korea whose key is new (the Korean Seoul wins).
+
+    Raises:
+        UnknownRegionError: for a name that is not a builtin catalogue.
     """
     from repro.geo.korea import korean_districts
     from repro.geo.world import world_cities
 
+    if name == "korean":
+        return list(korean_districts())
+    if name == "world":
+        return list(world_cities())
+    if name != "combined":
+        raise UnknownRegionError(
+            f"unknown builtin catalogue {name!r} "
+            f"(expected one of {sorted(BUILTIN_GRID_DEG)})"
+        )
     districts = list(korean_districts())
     seen = {d.key() for d in districts}
     for city in world_cities():

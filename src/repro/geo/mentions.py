@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import District
 from repro.text.normalize import normalize_text, strip_punctuation
 from repro.text.tokenize import ngrams
@@ -48,7 +48,7 @@ class PlaceMentionExtractor:
     instead of resolving a single field.
     """
 
-    def __init__(self, gazetteer: GazetteerBackend, max_ngram: int = 3):
+    def __init__(self, gazetteer: Gazetteer, max_ngram: int = 3):
         self._gazetteer = gazetteer
         self._max_ngram = max_ngram
 

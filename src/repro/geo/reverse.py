@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import GeocodingError
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.region import AdminPath, District
 
@@ -48,20 +48,19 @@ class ReverseGeocoder:
     polygons) the Voronoi-safe nearest-centroid path applies unchanged.
 
     Args:
-        gazetteer: District catalogue to resolve against (any
-            :class:`~repro.geo.gazetteer.GazetteerBackend`).
+        gazetteer: District catalogue to resolve against.
         max_distance_km: Points farther than this from every district
             centroid are considered unresolvable (ocean, wilderness).
             Polygon hits are exempt — being inside the boundary *is* the
             district, however far its centroid sits.
     """
 
-    def __init__(self, gazetteer: GazetteerBackend, max_distance_km: float = 150.0):
+    def __init__(self, gazetteer: Gazetteer, max_distance_km: float = 150.0):
         self._gazetteer = gazetteer
         self._max_distance_km = max_distance_km
 
     @property
-    def gazetteer(self) -> GazetteerBackend:
+    def gazetteer(self) -> Gazetteer:
         """The underlying district catalogue."""
         return self._gazetteer
 

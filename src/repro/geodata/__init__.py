@@ -1,10 +1,10 @@
-"""Offline gazetteer data pipeline and the mmap-backed catalogue.
+"""Offline gazetteer data pipeline: the ``RGAZ1`` artifact and its decoder.
 
 ``repro geodata prepare`` compiles districts (+ optional boundary
 polygons, normalised by per-country admin remap hooks) into a versioned
-``RGAZ1`` artifact; :class:`MmapGazetteer` serves it zero-copy, and
-:func:`dataset_gazetteer` (driven by ``REPRO_GAZETTEER``) decides which
-backend the dataset builders hand to every downstream layer.
+``RGAZ1`` artifact; :func:`read_gazetteer_artifact` decodes one back into
+an in-memory :class:`~repro.geo.gazetteer.Gazetteer`, and
+:func:`dataset_gazetteer` builds the builtin catalogue each dataset uses.
 """
 
 from repro.geodata.artifact import (
@@ -12,9 +12,9 @@ from repro.geodata.artifact import (
     GAZETTEER_FORMAT_VERSION,
     gazetteer_artifact_info,
     open_gazetteer_artifact,
+    read_gazetteer_artifact,
     write_gazetteer_artifact,
 )
-from repro.geodata.mmapgaz import MmapGazetteer
 from repro.geodata.prepare import (
     AdminRemapHook,
     admin_remaps,
@@ -26,31 +26,23 @@ from repro.geodata.prepare import (
     prepare_artifact,
     register_admin_remap,
 )
-from repro.geodata.registry import (
-    GAZETTEER_KINDS,
-    builtin_artifact,
-    dataset_gazetteer,
-    gazetteer_backend_kind,
-)
+from repro.geodata.registry import dataset_gazetteer
 
 __all__ = [
     "GAZETTEER_FORMAT",
     "GAZETTEER_FORMAT_VERSION",
-    "GAZETTEER_KINDS",
     "AdminRemapHook",
-    "MmapGazetteer",
     "admin_remaps",
     "apply_admin_remaps",
-    "builtin_artifact",
     "builtin_catalogue",
     "dataset_gazetteer",
     "gazetteer_artifact_info",
-    "gazetteer_backend_kind",
     "korea_metro_gu_split",
     "load_districts_jsonl",
     "load_polygons_json",
     "open_gazetteer_artifact",
     "prepare_artifact",
+    "read_gazetteer_artifact",
     "register_admin_remap",
     "write_gazetteer_artifact",
 ]

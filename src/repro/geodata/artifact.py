@@ -1,10 +1,10 @@
-"""The ``RGAZ1`` gazetteer artifact: districts packed for zero-copy mmap.
+"""The ``RGAZ1`` gazetteer artifact: a district catalogue in one file.
 
 ``repro geodata prepare`` compiles a district catalogue (plus optional
-boundary polygons) into one file that
-:class:`~repro.geodata.mmapgaz.MmapGazetteer` maps read-only.  The file
-is an ``RCOLBUF1`` buffer (:mod:`repro.geodata.buffer`) — the gazetteer
-payload is just a named set of sections inside that envelope:
+boundary polygons) into one file, and :func:`read_gazetteer_artifact`
+decodes it back into an in-memory :class:`~repro.geo.gazetteer.Gazetteer`.
+The file is an ``RCOLBUF1`` buffer (:mod:`repro.geodata.buffer`) — the
+gazetteer payload is just a named set of sections inside that envelope:
 
 * ``meta`` — JSON blob carrying the ``RGAZ1`` format marker, version,
   grid geometry, and entity counts; readers refuse unknown formats and
@@ -14,22 +14,26 @@ payload is just a named set of sections inside that envelope:
 * ``districts.*`` — per-district columns in catalogue order: string-id
   columns (name/state/country/kind), float64 centroid/radius/weight
   columns, and a CSR alias list preserving original alias spelling.
-* ``keys.order`` — district indices sorted by ``(state, name)`` for
-  binary-searched exact lookup.
+* ``keys.order`` — district indices sorted by ``(state, name)``.
 * ``states.*`` — distinct state string-ids sorted by name, plus a CSR
   list of member districts in catalogue order.
 * ``alias_index.*`` — sorted case-folded alias keys with CSR district
-  ids (catalogue order per key), binary searched at query time.
+  ids (catalogue order per key).
 * ``grid.*`` — the spatial index: sorted packed cell keys
   (``ci * lon_cells + cj``) with CSR district-id buckets in catalogue
-  order, so nearest-neighbour tie-breaks match the in-memory backend
-  exactly.
+  order.
 * ``polygons.* / rings.*`` — the optional boundary layer: per-polygon
   district ids (ascending), bounding boxes, and CSR ring/vertex float64
   arrays.
 
-Every column is written with the host's byte order and read back
-zero-copy; ``BufferReader`` already rejects cross-endian files.
+The decoder reads the ``districts.*`` columns, the string table and the
+polygon rings, and rebuilds every index (exact keys, states, aliases,
+grid) in :class:`~repro.geo.gazetteer.Gazetteer`'s constructor; the
+``keys.*``, ``states.*``, ``alias_index.*`` and ``grid.*`` sections
+describe the catalogue for ``repro geodata info`` and other readers.
+
+Every column is written with the host's byte order;
+``BufferReader`` already rejects cross-endian files.
 """
 
 from __future__ import annotations
@@ -42,9 +46,11 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.interner import StringInterner
-from repro.errors import StorageError, UnknownRegionError
+from repro.errors import ConfigurationError, GeoError, StorageError
+from repro.geo.gazetteer import Gazetteer
+from repro.geo.point import GeoPoint
 from repro.geo.polygon import BoundaryPolygon
-from repro.geo.region import District
+from repro.geo.region import District, DistrictKind
 from repro.geodata.buffer import BufferReader, BufferWriter
 
 #: Format marker stored in the artifact's meta section.
@@ -85,8 +91,7 @@ def write_gazetteer_artifact(
         path: Destination file.
         districts: Catalogue in canonical order; ``(state, name)`` keys
             must be unique.
-        grid_deg: Spatial-grid cell size in degrees — must match the
-            in-memory gazetteer the artifact stands in for.
+        grid_deg: Spatial-grid cell size in degrees.
         polygons: ``((state, county), polygon)`` pairs; keys must name
             catalogue districts.
         source: Free-text provenance label recorded in the meta section.
@@ -97,18 +102,12 @@ def write_gazetteer_artifact(
     Raises:
         UnknownRegionError: on an empty catalogue, duplicate keys, or a
             polygon referencing an unknown district.
+        ConfigurationError: if ``grid_deg`` is out of range.
     """
-    catalogue = tuple(districts)
-    if not catalogue:
-        raise UnknownRegionError("gazetteer artifact requires at least one district")
+    # The constructor is the one validator of a catalogue.
+    gazetteer = Gazetteer(districts, grid_deg=grid_deg, polygons=polygons)
+    catalogue = gazetteer.districts
     lon_cells = max(1, round(360.0 / grid_deg))
-
-    by_key: dict[tuple[str, str], int] = {}
-    for index, district in enumerate(catalogue):
-        key = district.key()
-        if key in by_key:
-            raise UnknownRegionError(f"duplicate district key {key}")
-        by_key[key] = index
 
     interner = StringInterner()
     name_ids = array("q")
@@ -163,15 +162,7 @@ def write_gazetteer_artifact(
     grid_keys = array("q", sorted(grid))
     grid_offsets, grid_ids = _csr([grid[key] for key in grid_keys])
 
-    poly_entries: list[tuple[int, BoundaryPolygon]] = []
-    for key, polygon in polygons:
-        district_index = by_key.get(tuple(key))
-        if district_index is None:
-            raise UnknownRegionError(
-                f"polygon references unknown district {tuple(key)!r}"
-            )
-        poly_entries.append((district_index, polygon))
-    poly_entries.sort(key=lambda entry: entry[0])
+    poly_entries = gazetteer.polygons
     poly_district_ids = array("q", [index for index, _ in poly_entries])
     poly_bbox = array("d")
     poly_ring_offsets = array("q", [0])
@@ -276,6 +267,75 @@ def open_gazetteer_artifact(path: str | Path) -> tuple[BufferReader, dict[str, A
         reader.close()
         raise
     return reader, meta
+
+
+def read_gazetteer_artifact(path: str | Path) -> Gazetteer:
+    """Decode an artifact into an in-memory :class:`Gazetteer`.
+
+    Reads the district columns, their aliases and the polygon rings, and
+    builds ``Gazetteer(districts, grid_deg, polygons)``; the file is
+    closed on return.
+
+    Raises:
+        StorageError: on any :func:`open_gazetteer_artifact` failure, a
+            missing or inconsistent section, or a catalogue
+            :class:`Gazetteer` rejects.
+    """
+    reader, meta = open_gazetteer_artifact(path)
+    try:
+        lookup = reader.strings("strings").lookup
+        names = reader.i64("districts.name_ids")
+        states = reader.i64("districts.state_ids")
+        countries = reader.i64("districts.country_ids")
+        kinds = reader.i64("districts.kind_ids")
+        lats = reader.f64("districts.lat")
+        lons = reader.f64("districts.lon")
+        radii = reader.f64("districts.radius_km")
+        weights = reader.f64("districts.weight")
+        alias_offsets = reader.i64("districts.alias_offsets")
+        alias_ids = reader.i64("districts.alias_ids")
+        districts = [
+            District(
+                name=lookup(names[i]),
+                state=lookup(states[i]),
+                country=lookup(countries[i]),
+                kind=DistrictKind(lookup(kinds[i])),
+                center=GeoPoint(lats[i], lons[i]),
+                radius_km=radii[i],
+                aliases=tuple(
+                    lookup(alias_ids[j])
+                    for j in range(alias_offsets[i], alias_offsets[i + 1])
+                ),
+                population_weight=weights[i],
+            )
+            for i in range(len(names))
+        ]
+
+        ring_offsets = reader.i64("polygons.ring_offsets")
+        point_offsets = reader.i64("rings.point_offsets")
+        ring_lats = reader.f64("rings.lat")
+        ring_lons = reader.f64("rings.lon")
+        polygons = []
+        for p, index in enumerate(reader.i64("polygons.district_ids")):
+            if not 0 <= index < len(districts):
+                raise StorageError(
+                    f"{path}: polygon {p} names district {index} of {len(districts)}"
+                )
+            rings = [
+                tuple(
+                    zip(
+                        ring_lats[point_offsets[r] : point_offsets[r + 1]],
+                        ring_lons[point_offsets[r] : point_offsets[r + 1]],
+                    )
+                )
+                for r in range(ring_offsets[p], ring_offsets[p + 1])
+            ]
+            polygons.append((districts[index].key(), BoundaryPolygon(rings)))
+        return Gazetteer(districts, grid_deg=meta["grid_deg"], polygons=polygons)
+    except (ConfigurationError, GeoError, LookupError, TypeError, ValueError) as exc:
+        raise StorageError(f"{path} holds an invalid gazetteer: {exc}") from exc
+    finally:
+        reader.close()
 
 
 def gazetteer_artifact_info(path: str | Path) -> dict[str, Any]:

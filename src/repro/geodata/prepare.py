@@ -4,8 +4,9 @@ Compiles a district catalogue into an ``RGAZ1`` artifact from either of
 two sources:
 
 * a **builtin catalogue** (``korean`` / ``world`` / ``combined``) — the
-  exact district sequences and grid sizes the in-memory factories use,
-  so the artifact is a drop-in, bit-identical stand-in;
+  district sequence and grid size :meth:`Gazetteer.builtin
+  <repro.geo.gazetteer.Gazetteer.builtin>` uses, so decoding the
+  artifact gives back the builtin gazetteer;
 * **external files** — a districts JSONL (one object per district) plus
   an optional polygons JSON carrying boundary rings.
 
@@ -37,17 +38,14 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from repro.errors import StorageError
-from repro.geo.gazetteer import combined_districts
+from repro.errors import ConfigurationError, GeoError, StorageError, UnknownRegionError
+from repro.geo.gazetteer import BUILTIN_GRID_DEG, builtin_districts
 from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import District, DistrictKind
 from repro.geodata.artifact import write_gazetteer_artifact
 
 #: A hook rewrites one district to the country's grouping convention.
 AdminRemapHook = Callable[[District], District]
-
-#: Grid cell sizes of the builtin catalogues (must match the factories).
-BUILTIN_GRID_DEG = {"korean": 0.5, "world": 2.0, "combined": 1.0}
 
 _ADMIN_REMAPS: dict[str, list[AdminRemapHook]] = {}
 
@@ -97,20 +95,10 @@ def builtin_catalogue(name: str) -> tuple[list[District], float]:
     Raises:
         StorageError: for a name that is not a builtin catalogue.
     """
-    if name == "korean":
-        from repro.geo.korea import korean_districts
-
-        return list(korean_districts()), BUILTIN_GRID_DEG[name]
-    if name == "world":
-        from repro.geo.world import world_cities
-
-        return list(world_cities()), BUILTIN_GRID_DEG[name]
-    if name == "combined":
-        return combined_districts(), BUILTIN_GRID_DEG[name]
-    raise StorageError(
-        f"unknown builtin catalogue {name!r} "
-        f"(expected one of {sorted(BUILTIN_GRID_DEG)})"
-    )
+    try:
+        return builtin_districts(name), BUILTIN_GRID_DEG[name]
+    except UnknownRegionError as exc:
+        raise StorageError(str(exc)) from exc
 
 
 def load_districts_jsonl(path: str | Path) -> list[District]:
@@ -205,7 +193,10 @@ def prepare_artifact(
         the CLI to print.
 
     Raises:
-        StorageError: on a missing/invalid source or conflicting options.
+        StorageError: on a missing/invalid source, conflicting options, or
+            a catalogue :class:`~repro.geo.gazetteer.Gazetteer` rejects
+            (no districts, a duplicate key, a polygon naming an unknown
+            district, ``grid_deg`` out of range).
     """
     if (catalogue is None) == (districts_path is None):
         raise StorageError(
@@ -222,18 +213,19 @@ def prepare_artifact(
     polygons: Sequence[tuple[tuple[str, str], BoundaryPolygon]] = ()
     if polygons_path is not None:
         polygons = load_polygons_json(polygons_path)
-    path = write_gazetteer_artifact(
-        out,
-        districts,
-        grid_deg=grid_deg if grid_deg is not None else default_grid,
-        polygons=polygons,
-        source=source,
-    )
+    if grid_deg is None:
+        grid_deg = default_grid
+    try:
+        path = write_gazetteer_artifact(
+            out, districts, grid_deg=grid_deg, polygons=polygons, source=source
+        )
+    except (ConfigurationError, GeoError) as exc:
+        raise StorageError(f"invalid catalogue from {source}: {exc}") from exc
     return {
         "path": str(path),
         "source": source,
         "districts": len(districts),
         "polygons": len(polygons),
-        "grid_deg": grid_deg if grid_deg is not None else default_grid,
+        "grid_deg": grid_deg,
         "bytes": path.stat().st_size,
     }

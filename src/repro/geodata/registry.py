@@ -1,88 +1,27 @@
-"""Backend selection: which gazetteer implementation datasets get.
+"""The gazetteer every dataset build hands to the layers downstream.
 
-``REPRO_GAZETTEER`` picks the implementation behind every dataset build:
-
-* ``mmap`` (default) — compile the catalogue once per process into a
-  temp ``RGAZ1`` artifact and serve it through
-  :class:`~repro.geodata.mmapgaz.MmapGazetteer`.  Sharded runs then ship
-  workers a file path instead of a pickled object graph, and all
-  processes share one page-cache copy.
-* ``memory`` — the classic in-memory :class:`~repro.geo.gazetteer.Gazetteer`
-  object graph; the escape hatch if the artifact path misbehaves.
-
-Both answer every query bit-identically (enforced by the equivalence
-suite in ``tests/geodata/``), so the switch is purely operational.
+One :class:`~repro.geo.gazetteer.Gazetteer` per builtin catalogue and
+process: the catalogue is immutable, so every dataset build, study and
+server in a process shares the instance built on first use.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import shutil
-import tempfile
-from pathlib import Path
+from functools import cache
 
-from repro.errors import ConfigurationError
-from repro.geo.gazetteer import Gazetteer, GazetteerBackend
-from repro.geodata.mmapgaz import MmapGazetteer
-from repro.geodata.prepare import builtin_catalogue, prepare_artifact
-
-#: Accepted ``REPRO_GAZETTEER`` values.
-GAZETTEER_KINDS = ("mmap", "memory")
-
-_artifact_dir: Path | None = None
-_mmap_cache: dict[str, MmapGazetteer] = {}
+from repro.geo.gazetteer import Gazetteer
+from repro.geodata.prepare import builtin_catalogue
 
 
-def gazetteer_backend_kind() -> str:
-    """The backend selected by ``REPRO_GAZETTEER`` (default ``mmap``).
-
-    Raises:
-        ConfigurationError: on an unrecognised value.
-    """
-    kind = os.environ.get("REPRO_GAZETTEER", "").strip().lower() or "mmap"
-    if kind not in GAZETTEER_KINDS:
-        raise ConfigurationError(
-            f"REPRO_GAZETTEER={kind!r} is not one of {GAZETTEER_KINDS}"
-        )
-    return kind
-
-
-def _workdir() -> Path:
-    """This process's artifact scratch directory (created lazily)."""
-    global _artifact_dir
-    if _artifact_dir is None:
-        _artifact_dir = Path(tempfile.mkdtemp(prefix="repro-geodata-"))
-        atexit.register(shutil.rmtree, _artifact_dir, ignore_errors=True)
-    return _artifact_dir
-
-
-def builtin_artifact(catalogue: str, directory: str | Path | None = None) -> Path:
-    """Compile (or reuse) the artifact for a builtin ``catalogue``.
-
-    With no ``directory`` the artifact lands in a per-process temp dir
-    removed at interpreter exit; repeated calls reuse the same file.
-    """
-    base = Path(directory) if directory is not None else _workdir()
-    path = base / f"{catalogue}.rgaz"
-    if not path.exists():
-        prepare_artifact(path, catalogue=catalogue)
-    return path
-
-
-def dataset_gazetteer(catalogue: str) -> GazetteerBackend:
-    """The gazetteer backend dataset builds should use for ``catalogue``.
+@cache
+def dataset_gazetteer(catalogue: str) -> Gazetteer:
+    """The gazetteer dataset builds use for builtin ``catalogue``.
 
     ``catalogue`` is a builtin name (``korean`` / ``world`` /
-    ``combined``).  Under ``mmap`` the per-process instance is cached —
-    every dataset build (and every pickle of it crossing to a worker)
-    maps the same artifact file.
+    ``combined``); the instance is built once per process.
+
+    Raises:
+        StorageError: for a name that is not a builtin catalogue.
     """
-    if gazetteer_backend_kind() == "memory":
-        districts, grid_deg = builtin_catalogue(catalogue)
-        return Gazetteer(districts, grid_deg=grid_deg)
-    cached = _mmap_cache.get(catalogue)
-    if cached is None:
-        cached = MmapGazetteer(builtin_artifact(catalogue))
-        _mmap_cache[catalogue] = cached
-    return cached
+    districts, grid_deg = builtin_catalogue(catalogue)
+    return Gazetteer(districts, grid_deg=grid_deg)

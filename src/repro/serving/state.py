@@ -37,7 +37,7 @@ from repro.analysis.regional import RegionalRow, regional_breakdown
 from repro.analysis.reliability import ReliabilityTable
 from repro.analysis.serialization import load_study, study_digest
 from repro.errors import ReproError
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import District
 from repro.grouping.topk import UserGrouping
 
@@ -200,7 +200,7 @@ class ServingSnapshot:
         }
 
 
-def load_snapshot(path: str | Path, gazetteer: GazetteerBackend) -> ServingSnapshot:
+def load_snapshot(path: str | Path, gazetteer: Gazetteer) -> ServingSnapshot:
     """Load a study JSON document and build its serving snapshot.
 
     Raises:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from repro.errors import ConfigurationError
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.region import District
 from repro.twitter.models import MobilityClass
@@ -111,7 +111,7 @@ class MobilityModel:
 
     def __init__(
         self,
-        gazetteer: GazetteerBackend,
+        gazetteer: Gazetteer,
         nearby_radius_km: float = 45.0,
         travel_radius_km: float = 500.0,
     ):
@@ -121,11 +121,7 @@ class MobilityModel:
         self._safe_radius_cache: dict[tuple[str, str], float] = {}
         # Neighbourhood queries repeat across users sharing a home; the
         # catalogue is fixed, so each (district, radius) is searched once.
-        # The whole-catalogue list is built on first use: most catalogues
-        # never need the isolated-anchor fallback, and the mmap backend
-        # materialises districts only when asked.
         self._within_cache: dict[tuple[tuple[str, str], float], tuple[District, ...]] = {}
-        self._catalogue: tuple[District, ...] | None = None
 
     # ---------------------------------------------------------------- public
     def build_profile(
@@ -302,9 +298,7 @@ class MobilityModel:
             if d.key() != anchor.key()
         ]
         if not pool:
-            if self._catalogue is None:
-                self._catalogue = tuple(self._gazetteer.districts)
-            pool = [d for d in self._catalogue if d.key() != anchor.key()]
+            pool = [d for d in self._gazetteer.districts if d.key() != anchor.key()]
         if not pool:
             return []
         weights = [d.population_weight for d in pool]

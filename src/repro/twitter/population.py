@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.geo.gazetteer import GazetteerBackend
+from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import District, DistrictKind
 from repro.twitter.mobility import MobilityModel, MobilityProfile
 from repro.twitter.models import MobilityClass, ProfileStyle, TwitterUser
@@ -179,7 +179,7 @@ class PopulationGenerator:
     #: Account-creation window: 2009-01-01 .. 2011-06-30 (unix ms).
     _CREATED_AT_RANGE_MS = (1_230_768_000_000, 1_309_392_000_000)
 
-    def __init__(self, gazetteer: GazetteerBackend, config: PopulationConfig):
+    def __init__(self, gazetteer: Gazetteer, config: PopulationConfig):
         self._gazetteer = gazetteer
         self._config = config
         self._mobility_model = MobilityModel(gazetteer)

@@ -22,37 +22,14 @@ class TestBasics:
         assert interner.intern("Gangnam-gu") == 1
         assert interner.intern("Seoul") == 0
         assert len(interner) == 2
-        assert interner.strings == ("Seoul", "Gangnam-gu")
+        assert interner.to_lines() == ["Seoul", "Gangnam-gu"]
 
     def test_lookup_inverts_intern(self):
+        """The wire form is the reverse map: index == id."""
         interner = StringInterner()
         for text in ("California", "서울특별시", "", "a#b"):
-            assert interner.lookup(interner.intern(text)) == text
-
-    def test_id_of_known_and_unknown(self):
-        interner = StringInterner()
-        interner.intern("Texas")
-        assert interner.id_of("Texas") == 0
-        with pytest.raises(KeyError):
-            interner.id_of("Atlantis")
-
-    def test_lookup_out_of_range(self):
-        interner = StringInterner()
-        interner.intern("one")
-        with pytest.raises(ConfigurationError):
-            interner.lookup(1)
-        with pytest.raises(ConfigurationError):
-            interner.lookup(-1)
-
-    def test_contains(self):
-        interner = StringInterner()
-        interner.intern("Busan")
-        assert "Busan" in interner
-        assert "Seoul" not in interner
-
-    def test_intern_many_returns_ids_in_order(self):
-        interner = StringInterner()
-        assert interner.intern_many(["a", "b", "a", "c"]) == [0, 1, 0, 2]
+            assigned = interner.intern(text)
+            assert interner.to_lines()[assigned] == text
 
     def test_from_lines_rejects_duplicates(self):
         with pytest.raises(ConfigurationError):
@@ -70,38 +47,29 @@ class TestEdgeCaseStrings:
     def test_round_trips(self, text):
         interner = StringInterner()
         assigned = interner.intern(text)
-        assert interner.lookup(assigned) == text
+        assert interner.to_lines()[assigned] == text
         rebuilt = StringInterner.from_lines(interner.to_lines())
         assert rebuilt == interner
-        assert rebuilt.id_of(text) == assigned
+        assert rebuilt.intern(text) == assigned
+        assert len(rebuilt) == len(interner)
 
 
 class TestProperties:
     @given(st.lists(st.text(max_size=30)))
     def test_ids_stable_across_save_load(self, texts):
         interner = StringInterner()
-        ids = interner.intern_many(texts)
+        ids = [interner.intern(text) for text in texts]
         rebuilt = StringInterner.from_lines(interner.to_lines())
         assert rebuilt == interner
-        assert rebuilt.intern_many(texts) == ids
-        assert rebuilt.digest() == interner.digest()
+        assert [rebuilt.intern(text) for text in texts] == ids
+        assert rebuilt.to_lines() == interner.to_lines()
 
     @given(st.lists(st.text(max_size=30)))
     def test_lookup_inverts_every_id(self, texts):
         interner = StringInterner()
         for text in texts:
-            assert interner.lookup(interner.intern(text)) == text
-
-    @given(st.lists(st.text(max_size=20), unique=True, min_size=1))
-    def test_digest_is_order_sensitive(self, texts):
-        forward = StringInterner()
-        forward.intern_many(texts)
-        backward = StringInterner()
-        backward.intern_many(list(reversed(texts)))
-        if len(texts) > 1:
-            assert forward.digest() != backward.digest()
-        else:
-            assert forward.digest() == backward.digest()
+            assigned = interner.intern(text)
+            assert interner.to_lines()[assigned] == text
 
 
 class TestStudyInterner:
@@ -113,6 +81,7 @@ class TestStudyInterner:
         interner = study_interner(study.observations, study.profile_districts)
         rebuilt = StringInterner.from_lines(interner.to_lines())
         assert rebuilt == interner
+        lines = rebuilt.to_lines()
         for observation in study.observations:
             for text in (
                 observation.profile_state,
@@ -120,17 +89,18 @@ class TestStudyInterner:
                 observation.tweet_state,
                 observation.tweet_county,
             ):
-                assert rebuilt.lookup(rebuilt.id_of(text)) == text
+                assert lines[rebuilt.intern(text)] == text
+        assert len(rebuilt) == len(interner)  # nothing new was interned
 
     def test_canonical_sweep_is_deterministic(self, small_ctx):
         study = small_ctx.korean_study
         one = study_interner(study.observations, study.profile_districts)
         two = study_interner(study.observations, study.profile_districts)
         assert one == two
-        assert one.digest() == two.digest()
+        assert one.to_lines() == two.to_lines()
 
     def test_district_strings_are_swept_after_observations(self, small_ctx):
         study = small_ctx.korean_study
         without = study_interner(study.observations)
         with_districts = study_interner(study.observations, study.profile_districts)
-        assert with_districts.strings[: len(without)] == without.strings
+        assert with_districts.to_lines()[: len(without)] == without.to_lines()

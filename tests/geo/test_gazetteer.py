@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import UnknownRegionError
-from repro.geo.gazetteer import Gazetteer
+from repro.errors import ConfigurationError, UnknownRegionError
+from repro.geo.gazetteer import BUILTIN_GRID_DEG, GRID_DEG_RANGE, Gazetteer
+from repro.geo.korea import korean_districts
 from repro.geo.point import GeoPoint
 from repro.geo.region import District, DistrictKind
 
@@ -34,6 +35,17 @@ class TestConstruction:
 
     def test_len_and_iteration(self, korean_gazetteer):
         assert len(korean_gazetteer) == len(list(korean_gazetteer))
+
+    @pytest.mark.parametrize("grid_deg", [0.0, -1.0, float("nan"), float("inf"), 1e-9])
+    def test_grid_deg_out_of_range_rejected(self, grid_deg):
+        """A grid with no cells (or too many to scan) never gets built."""
+        with pytest.raises(ConfigurationError, match="grid_deg"):
+            Gazetteer(korean_districts(), grid_deg=grid_deg)
+
+    @pytest.mark.parametrize("grid_deg", GRID_DEG_RANGE)
+    def test_grid_deg_range_is_inclusive(self, grid_deg):
+        gazetteer = Gazetteer(korean_districts(), grid_deg=grid_deg)
+        assert gazetteer.nearest(GeoPoint(37.5665, 126.978)).state == "Seoul"
 
 
 class TestLookups:
@@ -178,6 +190,16 @@ class TestSpatial:
 
 
 class TestFactories:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GRID_DEG))
+    def test_factories_read_the_grid_table(self, name):
+        gazetteer = getattr(Gazetteer, name)()
+        assert gazetteer.grid_deg == BUILTIN_GRID_DEG[name]
+        assert gazetteer.districts == Gazetteer.builtin(name).districts
+
+    def test_unknown_builtin_rejected(self):
+        with pytest.raises(UnknownRegionError, match="mars"):
+            Gazetteer.builtin("mars")
+
     def test_world_gazetteer(self, world_gazetteer):
         assert world_gazetteer.find("New York", "New York") is not None
         assert len(world_gazetteer) > 50

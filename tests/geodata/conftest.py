@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.geodata.mmapgaz import MmapGazetteer
+from repro.geo.gazetteer import BUILTIN_GRID_DEG, Gazetteer
+from repro.geodata.artifact import read_gazetteer_artifact
 from repro.geodata.prepare import prepare_artifact
 
 
@@ -12,21 +13,15 @@ from repro.geodata.prepare import prepare_artifact
 def artifact_dir(tmp_path_factory):
     """One artifact per builtin catalogue, compiled once per session."""
     directory = tmp_path_factory.mktemp("rgaz")
-    for catalogue in ("korean", "world", "combined"):
+    for catalogue in BUILTIN_GRID_DEG:
         prepare_artifact(directory / f"{catalogue}.rgaz", catalogue=catalogue)
     return directory
 
 
 @pytest.fixture(scope="session")
-def korean_mmap(artifact_dir) -> MmapGazetteer:
-    return MmapGazetteer(artifact_dir / "korean.rgaz")
-
-
-@pytest.fixture(scope="session")
-def world_mmap(artifact_dir) -> MmapGazetteer:
-    return MmapGazetteer(artifact_dir / "world.rgaz")
-
-
-@pytest.fixture(scope="session")
-def combined_mmap(artifact_dir) -> MmapGazetteer:
-    return MmapGazetteer(artifact_dir / "combined.rgaz")
+def decoded(artifact_dir) -> dict[str, Gazetteer]:
+    """Each builtin catalogue decoded back out of its artifact."""
+    return {
+        catalogue: read_gazetteer_artifact(artifact_dir / f"{catalogue}.rgaz")
+        for catalogue in BUILTIN_GRID_DEG
+    }

@@ -6,7 +6,7 @@ import pytest
 
 from repro.geodata.buffer import BufferReader, BufferWriter
 from repro.errors import StorageError, UnknownRegionError
-from repro.geo.gazetteer import Gazetteer
+from repro.geo.gazetteer import BUILTIN_GRID_DEG, Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import District, DistrictKind
@@ -14,9 +14,24 @@ from repro.geodata.artifact import (
     GAZETTEER_FORMAT_VERSION,
     gazetteer_artifact_info,
     open_gazetteer_artifact,
+    read_gazetteer_artifact,
     write_gazetteer_artifact,
 )
-from repro.geodata.mmapgaz import MmapGazetteer
+
+
+def _rewrite(source, target, columns):
+    """Copy an artifact section by section, replacing the named columns."""
+    with BufferReader(source) as reader:
+        writer = BufferWriter()
+        for name in reader.section_names:
+            kind = reader._sections[name]["kind"]
+            if kind == "blob":
+                writer.add_blob(name, bytes(reader.blob(name)))
+            elif kind == "i64":
+                writer.add_i64(name, columns.get(name, list(reader.i64(name))))
+            else:
+                writer.add_f64(name, columns.get(name, list(reader.f64(name))))
+    return writer.write(target)
 
 
 def _district(name, state, lat, lon, aliases=()):
@@ -156,8 +171,70 @@ class TestInfo:
             grid_deg=0.5,
             polygons=[(("X-do", "A-si"), polygon)],
         )
-        gazetteer = MmapGazetteer(path)
-        assert gazetteer._polygon_count() == 1
-        assert gazetteer._polygon_at(0) == polygon
-        assert gazetteer._polygon_bbox(0) == polygon.bbox
-        assert gazetteer._polygon_district_index(0) == 0
+        gazetteer = read_gazetteer_artifact(path)
+        assert gazetteer.polygons == ((0, polygon),)
+        assert gazetteer.polygons[0][1].bbox == polygon.bbox
+        assert gazetteer.polygon_locate(GeoPoint(36.9, 126.9)) == district
+        assert gazetteer.polygon_locate(GeoPoint(37.03, 126.97)) is None  # hole
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("catalogue", sorted(BUILTIN_GRID_DEG))
+    def test_builtin_catalogue_round_trips(self, catalogue, decoded):
+        """artifact -> Gazetteer gives back the builtin catalogue."""
+        builtin = Gazetteer.builtin(catalogue)
+        gazetteer = decoded[catalogue]
+        assert gazetteer.districts == builtin.districts
+        assert gazetteer.states == builtin.states
+        assert gazetteer.polygons == builtin.polygons
+        assert gazetteer.grid_deg == builtin.grid_deg
+
+    def test_missing_sections_raise_storage_error(self, tmp_path):
+        writer = BufferWriter()
+        writer.add_blob(
+            "meta",
+            json.dumps(
+                {"format": "RGAZ1", "version": GAZETTEER_FORMAT_VERSION, "grid_deg": 0.5}
+            ).encode(),
+        )
+        path = writer.write(tmp_path / "hollow.rgaz")
+        with pytest.raises(StorageError, match="no section"):
+            read_gazetteer_artifact(path)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"polygons.district_ids": [-1]},
+            {"polygons.district_ids": [1]},
+            {"districts.name_ids": [999]},
+            {"districts.kind_ids": [0]},  # id 0 is the name "A-si"
+            {"districts.lat": []},
+            {"districts.lat": [91.0]},
+            {"rings.point_offsets": [0, 2]},
+        ],
+        ids=["poly-district-negative", "poly-district-past-end", "string-id",
+             "kind", "short-column", "latitude", "two-vertex-ring"],
+    )
+    def test_corrupt_columns_raise_storage_error(self, tmp_path, columns):
+        polygon = BoundaryPolygon([[(36.9, 126.9), (37.1, 126.9), (37.1, 127.1)]])
+        source = write_gazetteer_artifact(
+            tmp_path / "ok.rgaz",
+            [_district("A-si", "X-do", 37.0, 127.0)],
+            grid_deg=0.5,
+            polygons=[(("X-do", "A-si"), polygon)],
+        )
+        assert read_gazetteer_artifact(_rewrite(source, tmp_path / "copy.rgaz", {}))
+        corrupt = _rewrite(source, tmp_path / "bad.rgaz", columns)
+        with pytest.raises(StorageError):
+            read_gazetteer_artifact(corrupt)
+
+    @pytest.mark.parametrize("bad", [b"0.0", b"NaN", b"1e9"])
+    def test_bad_grid_raises_storage_error(self, tmp_path, bad):
+        path = write_gazetteer_artifact(
+            tmp_path / "ok.rgaz", [_district("A-si", "X-do", 37.0, 127.0)], grid_deg=0.5
+        )
+        data = path.read_bytes()
+        assert data.count(b'"grid_deg": 0.5') == 1
+        path.write_bytes(data.replace(b'"grid_deg": 0.5', b'"grid_deg": ' + bad))
+        with pytest.raises(StorageError, match="grid_deg"):
+            read_gazetteer_artifact(path)

@@ -101,6 +101,35 @@ class TestPrepare:
         lines = _err_lines(capsys)
         assert len(lines) == 1
 
+    @pytest.mark.parametrize("grid_deg", ["0", "-1", "nan", "inf", "1e-9"])
+    def test_bad_grid_deg_exits_3_one_line(self, capsys, tmp_path, grid_deg):
+        out = tmp_path / "x.rgaz"
+        code = main(
+            ["geodata", "prepare", "--out", str(out), "--catalogue", "korean",
+             f"--grid-deg={grid_deg}"]
+        )
+        assert code == 3
+        lines = _err_lines(capsys)
+        assert len(lines) == 1
+        assert "grid_deg" in lines[0]
+        assert not out.exists()
+
+    def test_duplicate_district_rows_exit_3_one_line(self, capsys, tmp_path):
+        row = json.dumps(
+            {"name": "A-si", "state": "X-do", "country": "South Korea",
+             "kind": "city", "lat": 37.0, "lon": 127.0, "radius_km": 5.0}
+        )
+        rows = tmp_path / "districts.jsonl"
+        rows.write_text(f"{row}\n{row}\n", encoding="utf-8")
+        code = main(
+            ["geodata", "prepare", "--out", str(tmp_path / "x.rgaz"),
+             "--districts", str(rows)]
+        )
+        assert code == 3
+        lines = _err_lines(capsys)
+        assert len(lines) == 1
+        assert "duplicate district key" in lines[0]
+
 
 class TestInfo:
     def test_info_prints_version_counts_sections(self, capsys, artifact_dir):

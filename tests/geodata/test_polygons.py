@@ -15,8 +15,7 @@ from repro.geo.point import GeoPoint
 from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import District, DistrictKind
 from repro.geo.reverse import ReverseGeocoder
-from repro.geodata.artifact import write_gazetteer_artifact
-from repro.geodata.mmapgaz import MmapGazetteer
+from repro.geodata.artifact import read_gazetteer_artifact, write_gazetteer_artifact
 
 
 def _district(name, state, lat, lon, radius_km=5.0):
@@ -107,7 +106,8 @@ class TestBoundaryStraddling:
     #: Inside A's polygon, ~18 km from B's centroid but ~124 km from A's.
     PROBE = GeoPoint(37.0, 127.9)
 
-    def _backends(self, tmp_path):
+    def _gazetteers(self, tmp_path):
+        """The catalogue built directly and decoded from its artifact."""
         polygons = [(("X-do", "A-si"), self.A_POLY)]
         memory = Gazetteer([self.A, self.B], grid_deg=0.5, polygons=polygons)
         path = write_gazetteer_artifact(
@@ -116,7 +116,7 @@ class TestBoundaryStraddling:
             grid_deg=0.5,
             polygons=polygons,
         )
-        return memory, MmapGazetteer(path)
+        return memory, read_gazetteer_artifact(path)
 
     def test_centroid_path_misassigns(self):
         """Without polygons the probe snaps to B — the documented failure."""
@@ -125,17 +125,17 @@ class TestBoundaryStraddling:
         assert result.district.name == "B-si"
         assert not result.via_polygon
 
-    @pytest.mark.parametrize("backend", ["memory", "mmap"])
-    def test_polygon_resolves_correctly(self, tmp_path, backend):
-        memory, mapped = self._backends(tmp_path)
-        gazetteer = memory if backend == "memory" else mapped
+    @pytest.mark.parametrize("source", ["memory", "artifact"])
+    def test_polygon_resolves_correctly(self, tmp_path, source):
+        memory, decoded = self._gazetteers(tmp_path)
+        gazetteer = memory if source == "memory" else decoded
         result = ReverseGeocoder(gazetteer).resolve(self.PROBE)
         assert result.district.name == "A-si"
         assert result.via_polygon
         assert result.quality == 87
 
     def test_polygon_hit_exempt_from_max_distance(self, tmp_path):
-        memory, _ = self._backends(tmp_path)
+        memory, _ = self._gazetteers(tmp_path)
         # The probe is ~124 km from A's centroid; a 50 km cutoff would
         # reject the centroid path, but the polygon hit stands.
         result = ReverseGeocoder(memory, max_distance_km=50.0).resolve(self.PROBE)
@@ -143,22 +143,23 @@ class TestBoundaryStraddling:
         assert result.via_polygon
 
     def test_outside_all_polygons_falls_back(self, tmp_path):
-        memory, mapped = self._backends(tmp_path)
+        memory, decoded = self._gazetteers(tmp_path)
         east = GeoPoint(37.0, 128.4)  # outside A's boundary, nearest B
-        for gazetteer in (memory, mapped):
+        for gazetteer in (memory, decoded):
             result = ReverseGeocoder(gazetteer).resolve(east)
             assert result.district.name == "B-si"
             assert not result.via_polygon
 
     def test_far_outside_still_raises(self, tmp_path):
-        memory, _ = self._backends(tmp_path)
+        memory, _ = self._gazetteers(tmp_path)
         with pytest.raises(GeocodingError):
             ReverseGeocoder(memory, max_distance_km=50.0).resolve(
                 GeoPoint(10.0, 60.0)
             )
 
     def test_overlap_prefers_lowest_catalogue_index(self, tmp_path):
-        """Overlapping claims break ties by catalogue order, on both backends."""
+        """Overlapping claims break ties by catalogue order, also after an
+        artifact round trip."""
         b_poly = BoundaryPolygon(
             [[(36.5, 127.5), (37.5, 127.5), (37.5, 128.5), (36.5, 128.5)]]
         )
@@ -170,8 +171,8 @@ class TestBoundaryStraddling:
             grid_deg=0.5,
             polygons=polygons,
         )
-        mapped = MmapGazetteer(path)
-        for gazetteer in (memory, mapped):
+        decoded = read_gazetteer_artifact(path)
+        for gazetteer in (memory, decoded):
             assert gazetteer.polygon_locate(self.PROBE).name == "A-si"
 
 
@@ -181,13 +182,12 @@ class TestSeedAgreement:
     precondition for the study pipelines."""
 
     @pytest.mark.parametrize("catalogue", ["korean", "combined"])
-    def test_polygon_and_centroid_paths_agree(self, catalogue, request):
+    def test_polygon_and_centroid_paths_agree(self, catalogue, request, decoded):
         gazetteer = request.getfixturevalue(f"{catalogue}_gazetteer")
-        mapped = request.getfixturevalue(f"{catalogue}_mmap")
         assert gazetteer.polygons == ()
-        assert mapped._polygon_count() == 0
+        assert decoded[catalogue].polygons == ()
         geocoder = ReverseGeocoder(gazetteer)
-        mapped_geocoder = ReverseGeocoder(mapped)
+        decoded_geocoder = ReverseGeocoder(decoded[catalogue])
         probes = [d.center for d in gazetteer.districts[::7]]
         probes += [
             GeoPoint(d.center.lat + 0.01, d.center.lon - 0.01)
@@ -197,4 +197,4 @@ class TestSeedAgreement:
             assert gazetteer.polygon_locate(point) is None
             result = geocoder.resolve(point)
             assert not result.via_polygon
-            assert mapped_geocoder.resolve(point) == result
+            assert decoded_geocoder.resolve(point) == result
