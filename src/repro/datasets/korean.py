@@ -95,21 +95,18 @@ def build_korean_dataset(config: KoreanDatasetConfig | None = None) -> KoreanDat
     population = PopulationGenerator(
         gazetteer, PopulationConfig(size=config.population_size, seed=config.seed)
     ).generate()
-    by_id = {s.user.user_id: s for s in population}
 
     graph = FollowerGraph.generate(
         [s.user.user_id for s in population], GraphConfig(seed=config.seed)
     )
 
-    generator = TweetGenerator(config.window, seed=config.seed)
-    tweets_by_user = {
-        uid: generator.tweets_for(synthetic) for uid, synthetic in by_id.items()
-    }
-
+    # Histories are generated on access, so only the users the crawl
+    # collects ever get one.
+    timelines = TweetGenerator(config.window, seed=config.seed).timelines(population)
     api = RestApi(
-        users={uid: s.user for uid, s in by_id.items()},
+        users={s.user.user_id: s.user for s in population},
         graph=graph,
-        tweets_by_user=tweets_by_user,
+        tweets_by_user=timelines,
     )
     crawler = FollowerCrawler(api, CrawlConfig(max_users=config.crawl_limit))
     crawl = crawler.crawl(graph.seed_user_id)
@@ -122,7 +119,7 @@ def build_korean_dataset(config: KoreanDatasetConfig | None = None) -> KoreanDat
         if config.use_api_timelines:
             timeline = api.fetch_full_timeline(user.user_id)
         else:
-            timeline = tweets_by_user[user.user_id]
+            timeline = timelines[user.user_id]
         tweets.insert_many(timeline)
 
     summary = DatasetSummary(

@@ -12,9 +12,10 @@ to X" that the study's matched-string logic depends on.
 catalogue (:data:`BUILTIN_GRID_DEG` names them) or decoded from an
 ``RGAZ1`` artifact by :func:`repro.geodata.artifact.read_gazetteer_artifact`.
 Its spatial search algorithm — cell mapping, Chebyshev shell expansion,
-the provable stopping bound, tie-breaking, and point-in-polygon candidate
-lookup — lives in the base class :class:`SpatialGridCore`, which reads the
-catalogue only through a few index accessors.
+the squared-chord candidate key, the provable stopping bound,
+tie-breaking, and point-in-polygon candidate lookup — lives in the base
+class :class:`SpatialGridCore`, which reads the catalogue only through a
+few index accessors.
 
 Lookup structures:
 
@@ -45,31 +46,56 @@ from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import BoundingBox, District
 
 
+#: Squared-chord slack inside which two candidates may compare either way
+#: under haversine.  ``_unit_vector`` keys and haversine's ``h`` compute
+#: the same quantity (``key == 4 * h`` on the unit sphere) from the same
+#: degrees; each is off by at most a few 1e-15, so a candidate whose key
+#: exceeds another's by more than this is provably farther by haversine
+#: too.  Only candidates inside the slack need the exact distance.
+_KEY_SLACK = 1e-11
+
+
+def _unit_vector(point: GeoPoint) -> tuple[float, float, float]:
+    """``point`` on the unit sphere, as ``(x, y, z)``."""
+    lat = math.radians(point.lat)
+    lon = math.radians(point.lon)
+    cos_lat = math.cos(lat)
+    return (cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat))
+
+
 class SpatialGridCore:
     """The spatial-search algorithm behind :class:`Gazetteer`.
 
     Subclasses call :meth:`_init_spatial` during construction and provide
     the index accessors below; everything else — cell mapping, shell
-    expansion, the provable stopping bound, first-seen-wins tie-breaking,
-    and polygon candidate lookup — lives here:
+    expansion, the squared-chord candidate key, the provable stopping
+    bound, first-seen-wins tie-breaking, and polygon candidate lookup —
+    lives here:
 
     * :meth:`_bucket` — district indices homed in one grid cell, in
       catalogue order (tie-breaks depend on it).
-    * :meth:`_district_at` / :meth:`_center_at` — materialise a district /
-      read its centroid by catalogue index.
+    * :meth:`_district_at` — materialise a district by catalogue index.
     * :meth:`_polygon_count` / :meth:`_polygon_bbox` /
       :meth:`_polygon_district_index` / :meth:`_polygon_at` — the optional
       boundary-polygon layer, indexed ``0..count`` in ascending district
       order.
+
+    :meth:`nearest` compares candidates by squared chord length between
+    unit vectors — a few multiplications, monotone in great-circle
+    distance — and computes haversine only for the candidates within
+    :data:`_KEY_SLACK` of the best key; its result, ties included, is
+    exactly that of ranking every candidate by haversine.
     """
 
-    def _init_spatial(self, grid_deg: float) -> None:
-        """Configure grid geometry; must run before any spatial query."""
+    def _init_spatial(self, grid_deg: float, centers: Iterable[GeoPoint]) -> None:
+        """Configure grid geometry and the centroids' unit vectors (in
+        catalogue order); must run before any spatial query."""
         self._grid_deg = grid_deg
         # Longitude columns wrap: floor(180/g) and floor(-180/g) land in the
         # same column modulo this count, so ring expansion crosses the
         # antimeridian for free.
         self._lon_cells = max(1, round(360.0 / grid_deg))
+        self._units = tuple(_unit_vector(center) for center in centers)
         self._poly_cells: dict[tuple[int, int], tuple[int, ...]] | None = None
 
     # ------------------------------------------------------- index accessors
@@ -79,10 +105,6 @@ class SpatialGridCore:
 
     def _district_at(self, index: int) -> District:
         """The district at catalogue ``index``."""
-        raise NotImplementedError
-
-    def _center_at(self, index: int) -> GeoPoint:
-        """Centroid of the district at catalogue ``index``."""
         raise NotImplementedError
 
     def _polygon_count(self) -> int:
@@ -127,10 +149,11 @@ class SpatialGridCore:
             yield (ci + di, (cj + ring) % n)
 
     def _candidate_ids(
-        self, point: GeoPoint, ring: int, seen: set[tuple[int, int]]
+        self, center: tuple[int, int], ring: int, seen: set[tuple[int, int]]
     ) -> list[int]:
-        """Catalogue indices in unseen cells of shell ``ring`` around ``point``."""
-        ci, cj = self._cell(point)
+        """Catalogue indices in unseen cells of shell ``ring`` around cell
+        ``center``."""
+        ci, cj = center
         found: list[int] = []
         for cell in self._shell(ci, cj, ring):
             if cell in seen:
@@ -150,6 +173,8 @@ class SpatialGridCore:
         (within ``ring + 1`` rows of the query); once the scanned square
         wraps the whole globe in longitude only the latitude bound applies.
         """
+        if ring == 0:
+            return 0.0  # both bounds below are 0 for a zero-cell gap
         g = self._grid_deg
         lat_bound = math.radians(ring * g) * EARTH_RADIUS_KM
         if 2 * ring + 1 >= self._lon_cells:
@@ -169,20 +194,42 @@ class SpatialGridCore:
         the best distance so far is provably shorter than anything a
         further shell could hold (:meth:`_ring_lower_bound_km`) — exact at
         cell boundaries, near the poles, and across the antimeridian.
-        Ties break to the first candidate encountered (strict ``<``):
-        shells inside out, cells in shell order, each bucket in catalogue
-        order.
+        Ties break to the first candidate encountered (strict ``<`` on
+        haversine distance): shells inside out, cells in shell order, each
+        bucket in catalogue order.
+
+        Candidates are ranked by squared chord key; the ones within
+        :data:`_KEY_SLACK` of the best key so far are kept, in encounter
+        order, and only they are measured by haversine.
         """
         max_ring = int(math.ceil(360.0 / self._grid_deg)) + 2
+        units = self._units
+        qx, qy, qz = _unit_vector(point)
+        center = self._cell(point)
+        best_key = math.inf
+        # [index, key, haversine km or None], in encounter order.
+        close: list[list] = []
         best = -1
-        best_d = math.inf
         seen: set[tuple[int, int]] = set()
         for ring in range(max_ring):
-            for index in self._candidate_ids(point, ring, seen):
-                d = self._center_at(index).distance_km(point)
-                if d < best_d:
-                    best, best_d = index, d
-            if best >= 0 and best_d <= self._ring_lower_bound_km(point, ring):
+            for index in self._candidate_ids(center, ring, seen):
+                x, y, z = units[index]
+                dx, dy, dz = x - qx, y - qy, z - qz
+                key = dx * dx + dy * dy + dz * dz
+                if key <= best_key + _KEY_SLACK:
+                    if key < best_key:
+                        best_key = key
+                        close = [c for c in close if c[1] <= key + _KEY_SLACK]
+                    close.append([index, key, None])
+            if not close:
+                continue
+            best_d = math.inf
+            for candidate in close:
+                if candidate[2] is None:
+                    candidate[2] = self._district_at(candidate[0]).center.distance_km(point)
+                if candidate[2] < best_d:
+                    best, best_d = candidate[0], candidate[2]
+            if best_d <= self._ring_lower_bound_km(point, ring):
                 break
         if best < 0:  # pragma: no cover - gazetteer is never empty
             raise UnknownRegionError("nearest() on empty gazetteer")
@@ -214,11 +261,12 @@ class SpatialGridCore:
             lon_deg = math.degrees(math.asin(math.sin(arc) / cos_lat))
         deg = max(lat_deg, lon_deg) + self._grid_deg
         rings = int(math.ceil(deg / self._grid_deg))
+        center = self._cell(point)
         hits: list[tuple[int, float]] = []
         seen: set[tuple[int, int]] = set()
         for ring in range(rings + 1):
-            for index in self._candidate_ids(point, ring, seen):
-                d = self._center_at(index).distance_km(point)
+            for index in self._candidate_ids(center, ring, seen):
+                d = self._district_at(index).center.distance_km(point)
                 if d <= radius_km:
                     hits.append((index, d))
         hits.sort(key=lambda pair: pair[1])
@@ -314,7 +362,7 @@ class Gazetteer(SpatialGridCore):
             raise ConfigurationError(
                 f"grid_deg must be within [{low}, {high}] degrees, got {grid_deg!r}"
             )
-        self._init_spatial(grid_deg)
+        self._init_spatial(grid_deg, (d.center for d in self._districts))
 
         self._by_key: dict[tuple[str, str], int] = {}
         for index, district in enumerate(self._districts):
@@ -413,10 +461,6 @@ class Gazetteer(SpatialGridCore):
     def _district_at(self, index: int) -> District:
         """The district at catalogue ``index``."""
         return self._districts[index]
-
-    def _center_at(self, index: int) -> GeoPoint:
-        """Centroid of the district at catalogue ``index``."""
-        return self._districts[index].center
 
     def _polygon_count(self) -> int:
         """Number of boundary polygons attached to this catalogue."""

@@ -180,11 +180,6 @@ class BufferReader:
         self._sections: dict[str, dict[str, object]] = header["sections"]
 
     @property
-    def path(self) -> Path:
-        """The mapped file."""
-        return self._path
-
-    @property
     def section_names(self) -> tuple[str, ...]:
         """Every section in the file, sorted."""
         return tuple(sorted(self._sections))
@@ -281,7 +276,3 @@ class StringTable:
         text = bytes(self._bytes[start:stop]).decode("utf-8")
         self._cache[string_id] = text
         return text
-
-    def all(self) -> list[str]:
-        """Decode the whole table, in id order."""
-        return [self.lookup(index) for index in range(len(self))]

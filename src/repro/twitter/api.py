@@ -14,8 +14,8 @@ so rate-limit handling is exercised without real sleeping.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 
 from repro.errors import NotFoundError, RateLimitExceededError
 from repro.geo.region import BoundingBox
@@ -108,10 +108,19 @@ class FollowerPage:
 class RestApi:
     """Simulated REST API over a follower graph and tweet corpus.
 
+    Timelines are read lazily: ``tweets_by_user`` is consulted for a user
+    only when one of their timeline pages is first requested, and the
+    newest-first order is memoised per user.  A mapping that generates
+    each history on access (:meth:`TweetGenerator.timelines
+    <repro.twitter.tweetgen.TweetGenerator.timelines>`) therefore costs
+    nothing for users the caller never fetches.  The global index behind
+    :meth:`search_tweets` is built on its first call, over every user the
+    mapping holds.
+
     Args:
         users: All accounts, keyed by id.
         graph: Follower graph the followers/ids endpoint serves.
-        tweets_by_user: Each user's tweets (any order; indexed at init).
+        tweets_by_user: Each user's tweets (any order), by user id.
         clock: Virtual clock shared with the calling collection code.
         follower_limit / timeline_limit: Per-endpoint rate policies.
     """
@@ -120,22 +129,16 @@ class RestApi:
         self,
         users: dict[int, TwitterUser],
         graph: FollowerGraph,
-        tweets_by_user: dict[int, list[Tweet]],
+        tweets_by_user: Mapping[int, Sequence[Tweet]],
         clock: VirtualClock | None = None,
         follower_limit: RateLimitPolicy | None = None,
         timeline_limit: RateLimitPolicy | None = None,
     ):
         self._users = users
         self._graph = graph
-        self._timelines = {
-            uid: sorted(tweets, key=lambda t: t.tweet_id, reverse=True)
-            for uid, tweets in tweets_by_user.items()
-        }
-        self._all_tweets = sorted(
-            (t for tweets in tweets_by_user.values() for t in tweets),
-            key=lambda t: t.tweet_id,
-            reverse=True,
-        )
+        self._tweets_by_user = tweets_by_user
+        self._timelines: dict[int, list[Tweet]] = {}
+        self._all_tweets: list[Tweet] | None = None
         self.clock = clock or VirtualClock()
         self._follower_limiter = _RateLimiter(
             follower_limit or RateLimitPolicy(calls_per_window=15), self.clock
@@ -244,7 +247,7 @@ class RestApi:
         if user_id not in self._users:
             raise NotFoundError(f"unknown user {user_id}")
         count = max(1, min(count, TIMELINE_PAGE_SIZE))
-        timeline = self._timelines.get(user_id, [])
+        timeline = self._timeline(user_id)
         page = []
         for tweet in timeline:  # newest first
             if max_id is not None and tweet.tweet_id > max_id:
@@ -283,7 +286,7 @@ class RestApi:
         lowered = query.lower()
         page: list[Tweet] = []
         exhausted = True
-        for tweet in self._all_tweets:  # newest first
+        for tweet in self._search_index():  # newest first
             if max_id is not None and tweet.tweet_id > max_id:
                 continue
             if tweet.tweet_id <= since_id:
@@ -296,6 +299,28 @@ class RestApi:
             page.append(tweet)
         next_max_id = None if exhausted or not page else page[-1].tweet_id - 1
         return SearchPage(tweets=tuple(page), max_id=next_max_id)
+
+    def _timeline(self, user_id: int) -> list[Tweet]:
+        """``user_id``'s tweets newest first, sorted on first request."""
+        timeline = self._timelines.get(user_id)
+        if timeline is None:
+            timeline = sorted(
+                self._tweets_by_user.get(user_id, ()),
+                key=lambda t: t.tweet_id,
+                reverse=True,
+            )
+            self._timelines[user_id] = timeline
+        return timeline
+
+    def _search_index(self) -> list[Tweet]:
+        """Every user's tweets newest first, built on first search."""
+        if self._all_tweets is None:
+            self._all_tweets = sorted(
+                (t for uid in self._tweets_by_user for t in self._timeline(uid)),
+                key=lambda t: t.tweet_id,
+                reverse=True,
+            )
+        return self._all_tweets
 
     def fetch_full_timeline(self, user_id: int, wait_on_limit: bool = True) -> list[Tweet]:
         """Collect a user's whole history by max_id pagination.

@@ -21,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.region import District
+from repro.twitter.draws import weighted_index
 from repro.twitter.models import MobilityClass
 
 
@@ -41,6 +42,8 @@ class MobilityProfile:
         cum_weights: Running sums of ``weights``, computed once so each
             draw skips the accumulation :func:`random.choices` would
             redo per call (same list, same single ``random()`` draw).
+        caps_km: Per-district GPS-jitter cap actually applied:
+            ``sample_radii_km`` when set, else ``0.8 * radius_km``.
     """
 
     home: District
@@ -49,6 +52,7 @@ class MobilityProfile:
     weights: tuple[float, ...]
     sample_radii_km: tuple[float, ...] = ()
     cum_weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    caps_km: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.districts) != len(self.weights):
@@ -61,6 +65,11 @@ class MobilityProfile:
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ConfigurationError(f"weights must sum to 1, got {total}")
         object.__setattr__(self, "cum_weights", tuple(accumulate(self.weights)))
+        object.__setattr__(
+            self,
+            "caps_km",
+            self.sample_radii_km or tuple(d.radius_km * 0.8 for d in self.districts),
+        )
 
     @property
     def home_weight(self) -> float:
@@ -68,35 +77,33 @@ class MobilityProfile:
         home_key = self.home.key()
         return sum(w for d, w in zip(self.districts, self.weights) if d.key() == home_key)
 
-    def sample_district(self, rng: random.Random) -> District:
-        """Draw the district for one tweet."""
-        return rng.choices(self.districts, cum_weights=self.cum_weights, k=1)[0]
+    def draw(self, rng: random.Random) -> tuple[int, float, float]:
+        """Draw one tweet's location: ``(district index, bearing, distance)``.
 
-    def sample_point(self, rng: random.Random) -> tuple[District, GeoPoint]:
-        """Draw a district and a GPS fix uniformly inside it.
+        The district is drawn by weight; the radial draw is capped at the
+        district's entry in ``caps_km``.  The model-supplied cap
+        (``sample_radii_km``) never crosses the Voronoi boundary to the
+        nearest other centroid, so the fix is guaranteed to
+        reverse-geocode to the district it was sampled in — without it, a
+        fix drawn near the edge of a district whose neighbour's centroid
+        is closer than its own would flip districts and break the
+        generator's ground truth (seen with Dobong-gu fixes resolving to
+        the adjacent Nowon-gu).
 
-        The radial draw is capped at the district's entry in
-        ``sample_radii_km`` (falling back to 80 % of the district radius
-        when unset).  The model-supplied cap never crosses the Voronoi
-        boundary to the nearest other centroid, so the fix is guaranteed
-        to reverse-geocode to the district it was sampled in — without
-        it, a fix drawn near the edge of a district whose neighbour's
-        centroid is closer than its own would flip districts and break
-        the generator's ground truth (seen with Dobong-gu fixes
-        resolving to the adjacent Nowon-gu).
+        Only the draws are made here; :meth:`fix` turns them into a point,
+        so a caller that discards the point skips the trig.
         """
-        index = rng.choices(
-            range(len(self.districts)), cum_weights=self.cum_weights, k=1
-        )[0]
-        district = self.districts[index]
-        if self.sample_radii_km:
-            cap_km = self.sample_radii_km[index]
-        else:
-            cap_km = district.radius_km * 0.8
-        bearing = rng.uniform(0.0, 360.0)
+        index = weighted_index(rng, self.cum_weights)
+        # rng.uniform(0.0, 360.0), draw for draw: uniform(a, b) is
+        # a + (b - a) * random(), and 0.0 + x == x for the x >= 0 here.
+        bearing = 360.0 * rng.random()
         # sqrt for an area-uniform radial draw inside the disc.
-        distance = cap_km * math.sqrt(rng.random())
-        return district, district.center.destination(bearing, distance)
+        distance = self.caps_km[index] * math.sqrt(rng.random())
+        return index, bearing, distance
+
+    def fix(self, index: int, bearing_deg: float, distance_km: float) -> GeoPoint:
+        """The GPS fix :meth:`draw`'s ``(index, bearing, distance)`` names."""
+        return self.districts[index].center.destination(bearing_deg, distance_km)
 
 
 class MobilityModel:
@@ -311,12 +318,22 @@ class MobilityModel:
         count: int,
         rng: random.Random,
     ) -> list[District]:
-        """Weighted sampling without replacement (small pools)."""
+        """Weighted sampling without replacement (small pools).
+
+        Raises:
+            ConfigurationError: if the weights left in the pool do not sum
+                to a positive, finite value.
+        """
         chosen: list[District] = []
         pool = list(pool)
         weights = list(weights)
         for _ in range(count):
-            pick = rng.choices(range(len(pool)), weights=weights, k=1)[0]
+            cum_weights = list(accumulate(weights))
+            if not 0.0 < cum_weights[-1] < math.inf:
+                raise ConfigurationError(
+                    "travel pool weights must sum to a positive, finite value"
+                )
+            pick = weighted_index(rng, cum_weights)
             chosen.append(pool.pop(pick))
             weights.pop(pick)
         return chosen

@@ -13,12 +13,15 @@ calibration.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import ConfigurationError
 from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import District, DistrictKind
+from repro.twitter.draws import weighted_index
 from repro.twitter.mobility import MobilityModel, MobilityProfile
 from repro.twitter.models import MobilityClass, ProfileStyle, TwitterUser
 
@@ -103,9 +106,12 @@ class PopulationConfig:
             raise ConfigurationError("gps_attach_range must satisfy 0 <= low <= high <= 1")
         for name, mix in (("mobility_mix", self.mobility_mix),
                           ("profile_style_mix", self.profile_style_mix)):
-            total = sum(mix.values())
-            if total <= 0:
-                raise ConfigurationError(f"{name} weights must sum to a positive value")
+            if not all(0.0 <= w < math.inf for w in mix.values()):
+                raise ConfigurationError(f"{name} weights must be finite and non-negative")
+            if not 0.0 < sum(mix.values()) < math.inf:
+                raise ConfigurationError(
+                    f"{name} weights must sum to a positive, finite value"
+                )
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,17 +195,21 @@ class PopulationGenerator:
         """Generate the full population (deterministic in the seed)."""
         rng = random.Random(self._config.seed)
         districts = list(self._gazetteer.districts)
-        district_weights = [d.population_weight for d in districts]
+        district_cum = list(accumulate(d.population_weight for d in districts))
+        if not 0.0 < district_cum[-1] < math.inf:
+            raise ConfigurationError(
+                "district population weights must sum to a positive, finite value"
+            )
         mobility_classes = list(self._config.mobility_mix)
-        mobility_weights = [self._config.mobility_mix[c] for c in mobility_classes]
+        mobility_cum = list(accumulate(self._config.mobility_mix.values()))
         styles = list(self._config.profile_style_mix)
-        style_weights = [self._config.profile_style_mix[s] for s in styles]
+        style_cum = list(accumulate(self._config.profile_style_mix.values()))
 
         users: list[SyntheticUser] = []
         for index in range(self._config.size):
-            home = rng.choices(districts, weights=district_weights, k=1)[0]
-            archetype = rng.choices(mobility_classes, weights=mobility_weights, k=1)[0]
-            style = rng.choices(styles, weights=style_weights, k=1)[0]
+            home = districts[weighted_index(rng, district_cum)]
+            archetype = mobility_classes[weighted_index(rng, mobility_cum)]
+            style = styles[weighted_index(rng, style_cum)]
             profile = self._mobility_model.build_profile(home, archetype, rng)
 
             has_smartphone = rng.random() < self._config.smartphone_rate

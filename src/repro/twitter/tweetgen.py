@@ -15,11 +15,12 @@ Twitris-style summariser later picks up.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.errors import ConfigurationError
+from repro.twitter.draws import below, weighted_index
 from repro.twitter.idgen import SnowflakeGenerator
 from repro.twitter.models import Tweet
 from repro.twitter.population import SyntheticUser
@@ -29,8 +30,8 @@ _HOUR_WEIGHTS = (
     1, 1, 1, 1, 1, 2, 4, 8, 10, 9, 8, 10,
     12, 10, 9, 9, 10, 11, 13, 15, 16, 14, 9, 4,
 )
-#: Running sums of :data:`_HOUR_WEIGHTS`: the list ``random.choices``
-#: would rebuild on every draw.
+#: Running sums of :data:`_HOUR_WEIGHTS`, for
+#: :func:`~repro.twitter.draws.weighted_index`.
 _HOUR_CUM_WEIGHTS = tuple(accumulate(_HOUR_WEIGHTS))
 
 _CHATTER = (
@@ -134,6 +135,11 @@ class TweetGenerator:
         users' timestamps forward and assign ids in *generation* order,
         destroying the global id/time coherence that stream consumers
         (Streaming API replay, trend windows) rely on.
+
+        Every tweet makes its location draws (district, bearing, distance)
+        and then its GPS draw, but only a tweet that keeps a fix pays for
+        the destination trig: most tweets carry no coordinates, and the
+        random stream is the same either way.
         """
         rng = random.Random(f"{self._seed}:{synthetic.user.user_id}")
         idgen = SnowflakeGenerator(worker_id=synthetic.user.user_id % 1024)
@@ -141,22 +147,39 @@ class TweetGenerator:
         count = self._sample_count(expected, rng)
         timestamps = sorted(self._sample_timestamp(rng) for _ in range(count))
 
+        user_id = synthetic.user.user_id
+        profile = synthetic.mobility_profile
+        districts = profile.districts
+        gps_attach_prob = synthetic.gps_attach_prob
         tweets = []
         for ts in timestamps:
-            district, point = synthetic.mobility_profile.sample_point(rng)
-            has_gps = rng.random() < synthetic.gps_attach_prob
+            index, bearing, distance = profile.draw(rng)
+            has_gps = rng.random() < gps_attach_prob
+            district = districts[index]
             tweets.append(
                 Tweet(
                     tweet_id=idgen.next_id(ts),
-                    user_id=synthetic.user.user_id,
+                    user_id=user_id,
                     created_at_ms=ts,
                     text=self._render_text(district.name, rng),
-                    coordinates=point if has_gps else None,
+                    coordinates=profile.fix(index, bearing, distance) if has_gps else None,
                     true_state=district.state,
                     true_county=district.name,
                 )
             )
         return tweets
+
+    def timelines(self, population: Iterable[SyntheticUser]) -> Mapping[int, list[Tweet]]:
+        """The population's histories by user id, each generated on access.
+
+        Indexing the mapping calls :meth:`tweets_for`, so a collection that
+        reaches only part of the population generates only that part; the
+        result equals ``{uid: tweets_for(u)}`` because every user's stream
+        is seeded by the user id alone.  Nothing is memoised here: the
+        consumer keeps what it reads (a :class:`~repro.twitter.api.RestApi`
+        memoises each timeline it serves).
+        """
+        return _GeneratedTimelines(self, population)
 
     def stream(self, population: list[SyntheticUser]) -> Iterator[Tweet]:
         """All tweets of a population in global time order.
@@ -188,10 +211,10 @@ class TweetGenerator:
         Millisecond jitter keeps cross-user snowflake collisions (same
         millisecond, same 10-bit worker, same sequence) out of reach.
         """
-        day = rng.randrange(self._window.days)
-        hour = rng.choices(range(24), cum_weights=_HOUR_CUM_WEIGHTS, k=1)[0]
-        second = rng.randrange(3_600)
-        millis = rng.randrange(1_000)
+        day = below(rng, self._window.days)
+        hour = weighted_index(rng, _HOUR_CUM_WEIGHTS)
+        second = below(rng, 3_600)
+        millis = below(rng, 1_000)
         return (
             self._window.start_ms
             + ((day * 24 + hour) * 3_600 + second) * 1_000
@@ -200,6 +223,23 @@ class TweetGenerator:
 
     def _render_text(self, place_name: str, rng: random.Random) -> str:
         if rng.random() < self._place_mention_rate:
-            template = rng.choice(_PLACE_TEMPLATES)
+            template = _PLACE_TEMPLATES[below(rng, len(_PLACE_TEMPLATES))]
             return template.format(place=place_name)
-        return rng.choice(_CHATTER)
+        return _CHATTER[below(rng, len(_CHATTER))]
+
+
+class _GeneratedTimelines(Mapping[int, list[Tweet]]):
+    """:meth:`TweetGenerator.timelines`' mapping: population order, lazy values."""
+
+    def __init__(self, generator: TweetGenerator, population: Iterable[SyntheticUser]):
+        self._generator = generator
+        self._users = {s.user.user_id: s for s in population}
+
+    def __getitem__(self, user_id: int) -> list[Tweet]:
+        return self._generator.tweets_for(self._users[user_id])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._users)
+
+    def __len__(self) -> int:
+        return len(self._users)

@@ -66,31 +66,49 @@ class PlaceFinderResponse:
         return self.error_code == 0 and self.found > 0
 
 
+def _element(tag: str, text: str) -> str:
+    """One leaf element, serialised as ElementTree would: ``&``, ``<`` and
+    ``>`` escaped, and an empty text as a self-closed ``<tag />``.
+
+    The escape is spelled out rather than taken from
+    ``xml.sax.saxutils``, which would import ``urllib.request`` (tens of
+    milliseconds) into every process that loads the CLI.
+    """
+    if not text:
+        return f"<{tag} />"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<{tag}>{text}</{tag}>"
+
+
 def render_success(point: GeoPoint, path: AdminPath, quality: int) -> str:
-    """Render a successful single-result response document."""
-    root = ET.Element("ResultSet", version="1.0")
-    ET.SubElement(root, "Error").text = "0"
-    ET.SubElement(root, "ErrorMessage").text = "No error"
-    ET.SubElement(root, "Found").text = "1"
-    result = ET.SubElement(root, "Result")
-    ET.SubElement(result, "quality").text = str(quality)
-    ET.SubElement(result, "latitude").text = f"{point.lat:.6f}"
-    ET.SubElement(result, "longitude").text = f"{point.lon:.6f}"
-    location = ET.SubElement(result, "location")
-    ET.SubElement(location, "country").text = path.country
-    ET.SubElement(location, "state").text = path.state
-    ET.SubElement(location, "county").text = path.county
-    ET.SubElement(location, "town").text = path.town
-    return ET.tostring(root, encoding="unicode")
+    """Render a successful single-result response document.
+
+    The string is assembled directly rather than through an ElementTree:
+    the layout is fixed, and the bytes are those ``ET.tostring`` gives
+    for the same tree (``tests/yahooapi/test_xml.py`` pins them).
+    """
+    return (
+        '<ResultSet version="1.0"><Error>0</Error>'
+        "<ErrorMessage>No error</ErrorMessage><Found>1</Found><Result>"
+        f"<quality>{quality}</quality>"
+        f"<latitude>{point.lat:.6f}</latitude>"
+        f"<longitude>{point.lon:.6f}</longitude>"
+        "<location>"
+        + _element("country", path.country)
+        + _element("state", path.state)
+        + _element("county", path.county)
+        + _element("town", path.town)
+        + "</location></Result></ResultSet>"
+    )
 
 
 def render_error(error_code: int, message: str) -> str:
     """Render a no-result / error response document."""
-    root = ET.Element("ResultSet", version="1.0")
-    ET.SubElement(root, "Error").text = str(error_code)
-    ET.SubElement(root, "ErrorMessage").text = message
-    ET.SubElement(root, "Found").text = "0"
-    return ET.tostring(root, encoding="unicode")
+    return (
+        f'<ResultSet version="1.0"><Error>{error_code}</Error>'
+        + _element("ErrorMessage", message)
+        + "<Found>0</Found></ResultSet>"
+    )
 
 
 def _required_text(parent: ET.Element, tag: str) -> str:

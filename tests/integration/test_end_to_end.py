@@ -96,3 +96,12 @@ class TestCrossDataset:
             gaga.total_tweets / gaga.total_users
             < korean.total_tweets / korean.total_users
         )
+
+    def test_e4_korean_top1_share_exceeds_ladygaga(self, small_ctx):
+        """E4 / slide 4: a larger share of the Korean crawl than of the Lady
+        Gaga stream tweets mostly from its profile district (0.496 vs 0.298
+        at this scale).  E1 and E5 do not hold at this scale; EXPERIMENTS.md
+        records their figures."""
+        korean = small_ctx.korean_study.statistics.row(TopKGroup.TOP_1).user_share
+        gaga = small_ctx.ladygaga_study.statistics.row(TopKGroup.TOP_1).user_share
+        assert korean > gaga

@@ -233,6 +233,91 @@ class TestSearch:
         assert api.usage.search_calls == 1
 
 
+class TestLazyTimelines:
+    """A RestApi over generated-on-access timelines serves exactly what one
+    over a prebuilt dict serves, and generates only what it is asked for."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, platform):
+        population, graph, tweets = platform
+        generator = TweetGenerator(
+            CollectionWindow(start_ms=1_314_835_200_000, days=20), seed=21
+        )
+        users = {s.user.user_id: s.user for s in population}
+
+        def build():
+            limit = RateLimitPolicy(calls_per_window=100_000)
+            eager = RestApi(
+                users=users, graph=graph, tweets_by_user=tweets, timeline_limit=limit
+            )
+            lazy = RestApi(
+                users=users,
+                graph=graph,
+                tweets_by_user=generator.timelines(population),
+                timeline_limit=limit,
+            )
+            return eager, lazy
+
+        return population, build
+
+    def test_fetch_full_timeline_identical(self, pair):
+        population, build = pair
+        eager, lazy = build()
+        for synthetic in population:
+            uid = synthetic.user.user_id
+            assert lazy.fetch_full_timeline(uid) == eager.fetch_full_timeline(uid)
+        assert lazy.usage == eager.usage
+        assert lazy.clock.now_s == eager.clock.now_s
+
+    def test_timeline_paging_identical(self, pair):
+        population, build = pair
+        eager, lazy = build()
+        for synthetic in population[:12]:
+            uid = synthetic.user.user_id
+            max_id = None
+            while True:
+                page = lazy.get_user_timeline(uid, max_id=max_id, count=7)
+                assert page == eager.get_user_timeline(uid, max_id=max_id, count=7)
+                if not page:
+                    break
+                pivot = page[len(page) // 2].tweet_id
+                assert lazy.get_user_timeline(uid, since_id=pivot) == (
+                    eager.get_user_timeline(uid, since_id=pivot)
+                )
+                max_id = page[-1].tweet_id - 1
+
+    @pytest.mark.parametrize("query", ["coffee", "a", "버스", "zxqj-nothing"])
+    def test_search_pages_identical(self, pair, query):
+        _, build = pair
+        eager, lazy = build()
+        max_id = None
+        while True:
+            page = lazy.search_tweets(query, max_id=max_id, count=40)
+            assert page == eager.search_tweets(query, max_id=max_id, count=40)
+            if page.max_id is None:
+                break
+            max_id = page.max_id
+
+    def test_generates_only_requested_users(self, pair, monkeypatch):
+        population, build = pair
+        _, lazy = build()
+        generated = []
+        original = TweetGenerator.tweets_for
+
+        def counting(self, synthetic):
+            generated.append(synthetic.user.user_id)
+            return original(self, synthetic)
+
+        monkeypatch.setattr(TweetGenerator, "tweets_for", counting)
+        uid = population[5].user.user_id
+        lazy.fetch_full_timeline(uid)
+        lazy.fetch_full_timeline(uid)
+        lazy.get_followers(uid)
+        assert generated == [uid]  # memoised, and no one else generated
+        lazy.search_tweets("coffee")
+        assert sorted(generated) == sorted(s.user.user_id for s in population)
+
+
 class TestStreaming:
     def test_track_filter_case_insensitive(self, platform):
         _, _, tweets = platform

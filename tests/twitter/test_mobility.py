@@ -1,11 +1,13 @@
 """Unit and property tests for the mobility models."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.geo.gazetteer import Gazetteer
 from repro.twitter.mobility import MobilityModel
 from repro.twitter.models import MobilityClass
@@ -105,7 +107,8 @@ class TestSampling:
         rng = random.Random(2)
         support = {d.key() for d in profile.districts}
         for _ in range(50):
-            assert profile.sample_district(rng).key() in support
+            index, _, _ = profile.draw(rng)
+            assert profile.districts[index].key() in support
 
     def test_sample_point_inside_district(self, model, korean_gazetteer):
         profile = model.build_profile(
@@ -113,7 +116,8 @@ class TestSampling:
         )
         rng = random.Random(3)
         for _ in range(50):
-            district, point = profile.sample_point(rng)
+            index, bearing, distance = profile.draw(rng)
+            district, point = profile.districts[index], profile.fix(index, bearing, distance)
             assert district.center.distance_km(point) <= district.radius_km * 0.8 + 1e-6
 
     @given(archetypes, seeds, home_keys)
@@ -133,8 +137,9 @@ class TestSampling:
         )
         rng = random.Random(seed + 1)
         for _ in range(25):
-            district, point = profile.sample_point(rng)
-            assert gazetteer.nearest(point).key() == district.key()
+            index, bearing, distance = profile.draw(rng)
+            point = profile.fix(index, bearing, distance)
+            assert gazetteer.nearest(point).key() == profile.districts[index].key()
 
     def test_deterministic_given_seed(self, model, korean_gazetteer):
         home = _home(korean_gazetteer)
@@ -142,3 +147,9 @@ class TestSampling:
         b = model.build_profile(home, MobilityClass.WANDERER, random.Random(42))
         assert [d.key() for d in a.districts] == [d.key() for d in b.districts]
         assert a.weights == b.weights
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, math.nan], [1.0, math.inf]])
+    def test_weighted_sample_rejects_unusable_weights(self, korean_gazetteer, weights):
+        pool = list(korean_gazetteer.districts[:2])
+        with pytest.raises(ConfigurationError):
+            MobilityModel._weighted_sample(pool, weights, 1, random.Random(0))

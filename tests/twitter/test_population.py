@@ -1,5 +1,6 @@
 """Unit tests for the synthetic population generator."""
 
+import math
 import random
 
 import pytest
@@ -36,6 +37,19 @@ class TestConfigValidation:
     def test_mix_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             PopulationConfig(size=1, mobility_mix={MobilityClass.WANDERER: 0.0})
+
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+    def test_mix_weights_finite_and_non_negative(self, weight):
+        with pytest.raises(ConfigurationError):
+            PopulationConfig(
+                size=1,
+                mobility_mix={MobilityClass.WANDERER: 1.0, MobilityClass.COMMUTER: weight},
+            )
+        with pytest.raises(ConfigurationError):
+            PopulationConfig(
+                size=1,
+                profile_style_mix={ProfileStyle.DISTRICT: 1.0, ProfileStyle.EMPTY: weight},
+            )
 
 
 class TestGeneration:

@@ -1,5 +1,7 @@
 """Unit and property tests for PlaceFinder XML rendering/parsing."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,3 +85,66 @@ class TestMalformed:
         )
         with pytest.raises(MalformedResponseError):
             parse_response(document)
+
+
+def _tree_success(point, path, quality):
+    """The ElementTree rendering ``render_success`` must reproduce."""
+    root = ET.Element("ResultSet", version="1.0")
+    ET.SubElement(root, "Error").text = "0"
+    ET.SubElement(root, "ErrorMessage").text = "No error"
+    ET.SubElement(root, "Found").text = "1"
+    result = ET.SubElement(root, "Result")
+    ET.SubElement(result, "quality").text = str(quality)
+    ET.SubElement(result, "latitude").text = f"{point.lat:.6f}"
+    ET.SubElement(result, "longitude").text = f"{point.lon:.6f}"
+    location = ET.SubElement(result, "location")
+    ET.SubElement(location, "country").text = path.country
+    ET.SubElement(location, "state").text = path.state
+    ET.SubElement(location, "county").text = path.county
+    ET.SubElement(location, "town").text = path.town
+    return ET.tostring(root, encoding="unicode")
+
+
+def _tree_error(error_code, message):
+    """The ElementTree rendering ``render_error`` must reproduce."""
+    root = ET.Element("ResultSet", version="1.0")
+    ET.SubElement(root, "Error").text = str(error_code)
+    ET.SubElement(root, "ErrorMessage").text = message
+    ET.SubElement(root, "Found").text = "0"
+    return ET.tostring(root, encoding="unicode")
+
+
+FIELD_TEXTS = ["", "Seoul", "a & b", "<town>", "x > y", "AT&T <&> co", "\r", "line\r\nbreak",
+               "서울특별시", "종로구 & 중구", "tab\there", "\"quoted\" 'single'"]
+
+
+class TestRenderingPinnedToElementTree:
+    @pytest.mark.parametrize("text", FIELD_TEXTS)
+    def test_success_every_field(self, text):
+        point = GeoPoint(-33.123456789, 151.2)
+        for path in (
+            AdminPath(text, "Seoul", "Jongno-gu", "Sajik-dong"),
+            AdminPath("South Korea", text, "Jongno-gu", ""),
+            AdminPath("South Korea", "Seoul", text, "Sajik-dong"),
+            AdminPath("South Korea", "Seoul", "Jongno-gu", text),
+            AdminPath(text, text, text, text),
+        ):
+            for quality in (0, 87, 100):
+                assert render_success(point, path, quality) == _tree_success(
+                    point, path, quality
+                )
+
+    def test_empty_field_self_closes(self):
+        doc = render_success(GeoPoint(37.5, 127.0), AdminPath("South Korea", "Seoul", "Jung-gu", ""), 87)
+        assert "<town />" in doc
+
+    @pytest.mark.parametrize("text", FIELD_TEXTS)
+    def test_error(self, text):
+        for code in (1, 100):
+            assert render_error(code, text) == _tree_error(code, text)
+
+    @given(points, st.builds(AdminPath, st.text(), st.text(), st.text(), st.text()),
+           st.integers(min_value=0, max_value=100))
+    @settings(max_examples=80)
+    def test_success_property(self, point, path, quality):
+        assert render_success(point, path, quality) == _tree_success(point, path, quality)
