@@ -6,9 +6,14 @@ the GPS district.  This extension quantifies that: over the Korean
 corpus's GPS tweets, how often does an unambiguous place mention agree
 with the reverse-geocoded GPS district?
 
-Expected shape: high same-state agreement, majority same-district —
-i.e. place mentions are a usable (if sparser) spatial signal, supporting
-the paper's suggestion that they could be a future attribute source.
+On this synthetic corpus the answer is fixed by construction, so E11 is
+a consistency check of the generator rather than a measurement: a text
+mention names the district the tweet was sampled in
+(``tweetgen._render_text``), and ``MobilityModel._safe_radius_km`` caps
+GPS jitter inside that district's Voronoi cell, so the fix reverse
+geocodes back to it.  Every unambiguous mention therefore agrees with
+the GPS district (and state); a lower rate means the jitter cap or the
+mention extractor broke.
 """
 
 from repro.analysis.mentions import MentionCorrelationStudy, render_mention_agreement
@@ -28,6 +33,6 @@ def test_place_mention_agreement(benchmark, ctx, artefact_sink):
     artefact_sink("E11_ext_place_mentions", render_mention_agreement(result))
 
     assert result.tweets_with_mentions > 100
-    assert result.agreement_rate > 0.5, "mentions should mostly name the GPS district"
-    assert result.same_state_rate > result.agreement_rate
+    assert result.agreement_rate == 1.0, "a mention names the sampled district"
+    assert result.same_state_rate == 1.0
     assert result.median_distance_km < 30.0

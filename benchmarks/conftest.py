@@ -1,16 +1,16 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-artefact benchmarks.
 
-The experiment context (both datasets + both studies) is built once per
-session at the default scale; every benchmark that regenerates a paper
-artefact draws from it.  Rendered artefacts are printed and also written
-to ``benchmarks/output/`` so they can be inspected after a captured run.
+Every benchmark here regenerates one of the paper's artefacts (figures,
+tables, experiments E1-E14, ablations, related systems) and checks its
+shape.  The experiment context (both datasets + both studies) is built
+once per session at the default scale.  Rendered artefacts are printed
+and written to ``benchmarks/output/``, where they are committed: a run
+that changes any of them shows up as a diff.  Timing lives in
+``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from pathlib import Path
 
 import pytest
@@ -18,31 +18,6 @@ import pytest
 from repro.pipelines.experiments import ExperimentContext, get_context
 
 _OUTPUT_DIR = Path(__file__).parent / "output"
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Stamp host metadata into every ``BENCH_*.json`` report.
-
-    Benchmark numbers are meaningless without the machine that produced
-    them: a throughput regression on 2 cores is business as usual on a
-    report captured on 16.  Stamping happens once at session end so every
-    report — whichever benchmark module wrote it — carries the same
-    ``host`` block, and re-running any benchmark refreshes it.
-    """
-    host = {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-    for path in sorted(_OUTPUT_DIR.glob("BENCH_*.json")):
-        try:
-            report = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue
-        if not isinstance(report, dict):
-            continue
-        report["host"] = host
-        path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

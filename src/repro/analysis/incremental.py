@@ -247,8 +247,8 @@ class IncrementalStudyAccumulator:
 
         Folding marks dirt automatically; this hook exists for callers
         that need to invalidate users without new tweets — churn
-        injection in ``benchmarks/bench_live_freshness.py``, or a cache
-        flush after out-of-band state surgery.  Marking a clean user is
+        injection in tests, or a cache flush after out-of-band state
+        surgery.  Marking a clean user is
         harmless: the rebuild re-derives the same bytes.
         """
         self._dirty |= set(user_ids)

@@ -95,7 +95,14 @@ class SpatialGridCore:
         # same column modulo this count, so ring expansion crosses the
         # antimeridian for free.
         self._lon_cells = max(1, round(360.0 / grid_deg))
+        centers = tuple(centers)
         self._units = tuple(_unit_vector(center) for center in centers)
+        # Latitude span of every centroid: bounds how close any of them
+        # can be to a query outside it (:meth:`_ring_lower_bound_km`).
+        self._lat_span = (
+            min(center.lat for center in centers),
+            max(center.lat for center in centers),
+        )
         self._poly_cells: dict[tuple[int, int], tuple[int, ...]] | None = None
 
     # ------------------------------------------------------- index accessors
@@ -172,20 +179,29 @@ class SpatialGridCore:
         longitude gap, minimised over the latitudes such a cell can occupy
         (within ``ring + 1`` rows of the query); once the scanned square
         wraps the whole globe in longitude only the latitude bound applies.
+
+        Every centroid also lies within the catalogue's latitude span, so
+        the meridian arc from ``point`` to that span bounds all of them at
+        any ring.  Far outside the span — a pole, or the equator for the
+        Korean catalogue — that arc is what ends the search, where the
+        shell bounds would need hundreds of rings.
         """
+        south, north = self._lat_span
+        span_gap = max(0.0, south - point.lat, point.lat - north)
+        span_bound = math.radians(span_gap) * EARTH_RADIUS_KM
         if ring == 0:
-            return 0.0  # both bounds below are 0 for a zero-cell gap
+            return span_bound  # both shell bounds are 0 for a zero-cell gap
         g = self._grid_deg
         lat_bound = math.radians(ring * g) * EARTH_RADIUS_KM
         if 2 * ring + 1 >= self._lon_cells:
-            return lat_bound
+            return max(span_bound, lat_bound)
         cos_here = max(0.0, math.cos(math.radians(point.lat)))
         reach = min(90.0, abs(point.lat) + (ring + 1) * g)
         cos_far = max(0.0, math.cos(math.radians(reach)))
         half_gap = math.radians(min(180.0, ring * g)) / 2.0
         h = min(1.0, math.sqrt(cos_here * cos_far) * math.sin(half_gap))
         lon_bound = 2.0 * EARTH_RADIUS_KM * math.asin(h)
-        return min(lat_bound, lon_bound)
+        return max(span_bound, min(lat_bound, lon_bound))
 
     def nearest(self, point: GeoPoint) -> District:
         """The district whose centroid is closest to ``point``.
@@ -197,6 +213,18 @@ class SpatialGridCore:
         Ties break to the first candidate encountered (strict ``<`` on
         haversine distance): shells inside out, cells in shell order, each
         bucket in catalogue order.
+        """
+        district = self.nearest_within(point, math.inf)
+        if district is None:  # pragma: no cover - gazetteer is never empty
+            raise UnknownRegionError("nearest() on empty gazetteer")
+        return district
+
+    def nearest_within(self, point: GeoPoint, max_km: float) -> District | None:
+        """:meth:`nearest`, or ``None`` if it lies farther than ``max_km``.
+
+        The shell walk also stops once every unseen centroid is provably
+        farther than ``max_km``, so a point far from the whole catalogue
+        costs a few shells, not a walk around the globe.
 
         Candidates are ranked by squared chord key; the ones within
         :data:`_KEY_SLACK` of the best key so far are kept, in encounter
@@ -209,7 +237,7 @@ class SpatialGridCore:
         best_key = math.inf
         # [index, key, haversine km or None], in encounter order.
         close: list[list] = []
-        best = -1
+        best, best_d = -1, math.inf
         seen: set[tuple[int, int]] = set()
         for ring in range(max_ring):
             for index in self._candidate_ids(center, ring, seen):
@@ -221,26 +249,21 @@ class SpatialGridCore:
                         best_key = key
                         close = [c for c in close if c[1] <= key + _KEY_SLACK]
                     close.append([index, key, None])
-            if not close:
-                continue
-            best_d = math.inf
-            for candidate in close:
-                if candidate[2] is None:
-                    candidate[2] = self._district_at(candidate[0]).center.distance_km(point)
-                if candidate[2] < best_d:
-                    best, best_d = candidate[0], candidate[2]
-            if best_d <= self._ring_lower_bound_km(point, ring):
+            bound = self._ring_lower_bound_km(point, ring)
+            if close:
+                best_d = math.inf
+                for candidate in close:
+                    if candidate[2] is None:
+                        candidate[2] = self._district_at(candidate[0]).center.distance_km(point)
+                    if candidate[2] < best_d:
+                        best, best_d = candidate[0], candidate[2]
+                if best_d <= bound:
+                    break
+            if bound > max_km:
                 break
-        if best < 0:  # pragma: no cover - gazetteer is never empty
-            raise UnknownRegionError("nearest() on empty gazetteer")
-        return self._district_at(best)
-
-    def nearest_within(self, point: GeoPoint, max_km: float) -> District | None:
-        """Like :meth:`nearest` but ``None`` if the best match is too far."""
-        district = self.nearest(point)
-        if district.center.distance_km(point) > max_km:
+        if best < 0 or best_d > max_km:
             return None
-        return district
+        return self._district_at(best)
 
     def within(self, point: GeoPoint, radius_km: float) -> tuple[District, ...]:
         """All districts whose centroid is within ``radius_km`` of ``point``.

@@ -82,12 +82,12 @@ class ReverseGeocoder:
                 quality=87,
                 via_polygon=True,
             )
-        district = self._gazetteer.nearest(point)
-        distance_km = district.center.distance_km(point)
-        if distance_km > self._max_distance_km:
+        district = self._gazetteer.nearest_within(point, self._max_distance_km)
+        if district is None:
             raise GeocodingError(
                 f"no district within {self._max_distance_km:.0f} km of {point}"
             )
+        distance_km = district.center.distance_km(point)
         return ReverseGeocodeResult(
             path=district.admin_path(),
             district=district,

@@ -14,23 +14,16 @@ gazetteer payload is just a named set of sections inside that envelope:
 * ``districts.*`` — per-district columns in catalogue order: string-id
   columns (name/state/country/kind), float64 centroid/radius/weight
   columns, and a CSR alias list preserving original alias spelling.
-* ``keys.order`` — district indices sorted by ``(state, name)``.
-* ``states.*`` — distinct state string-ids sorted by name, plus a CSR
-  list of member districts in catalogue order.
-* ``alias_index.*`` — sorted case-folded alias keys with CSR district
-  ids (catalogue order per key).
-* ``grid.*`` — the spatial index: sorted packed cell keys
-  (``ci * lon_cells + cj``) with CSR district-id buckets in catalogue
-  order.
 * ``polygons.* / rings.*`` — the optional boundary layer: per-polygon
-  district ids (ascending), bounding boxes, and CSR ring/vertex float64
-  arrays.
+  district ids (ascending) and CSR ring/vertex float64 arrays.
 
-The decoder reads the ``districts.*`` columns, the string table and the
-polygon rings, and rebuilds every index (exact keys, states, aliases,
-grid) in :class:`~repro.geo.gazetteer.Gazetteer`'s constructor; the
-``keys.*``, ``states.*``, ``alias_index.*`` and ``grid.*`` sections
-describe the catalogue for ``repro geodata info`` and other readers.
+The decoder reads exactly these sections and rebuilds every index
+(exact keys, states, aliases, grid, polygon cells) in
+:class:`~repro.geo.gazetteer.Gazetteer`'s constructor.  Files written
+before the indexes were dropped from the format also carry
+``keys.order``, ``states.*``, ``alias_index.*``, ``grid.*`` and
+``polygons.bbox`` sections; no reader ever used them, so such files
+decode unchanged and the format version stays 1.
 
 Every column is written with the host's byte order;
 ``BufferReader`` already rejects cross-endian files.
@@ -39,9 +32,7 @@ Every column is written with the host's byte order;
 from __future__ import annotations
 
 import json
-import math
 from array import array
-from collections import defaultdict
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -58,11 +49,6 @@ GAZETTEER_FORMAT = "RGAZ1"
 
 #: Newest artifact version this build reads and writes.
 GAZETTEER_FORMAT_VERSION = 1
-
-
-def _pack_cell(ci: int, cj: int, lon_cells: int) -> int:
-    """One int64 per grid cell; unique because ``0 <= cj < lon_cells``."""
-    return ci * lon_cells + cj
 
 
 def _csr(groups: Iterable[Sequence[int]]) -> tuple[array, array]:
@@ -131,40 +117,8 @@ def write_gazetteer_artifact(
         alias_groups.append([interner.intern(alias) for alias in district.aliases])
     alias_offsets, alias_ids = _csr(alias_groups)
 
-    key_order = array(
-        "q",
-        sorted(range(len(catalogue)), key=lambda i: catalogue[i].key()),
-    )
-
-    state_members: dict[str, list[int]] = defaultdict(list)
-    for index, district in enumerate(catalogue):
-        state_members[district.state].append(index)
-    state_names = sorted(state_members)
-    state_name_ids = array("q", [interner.intern(name) for name in state_names])
-    state_offsets, state_district_ids = _csr(
-        [state_members[name] for name in state_names]
-    )
-
-    alias_index: dict[str, list[int]] = defaultdict(list)
-    for index, district in enumerate(catalogue):
-        for alias in district.aliases:
-            alias_index[alias.casefold()].append(index)
-    alias_keys = sorted(alias_index)
-    alias_key_offsets, alias_key_ids = _csr(
-        [alias_index[key] for key in alias_keys]
-    )
-
-    grid: dict[int, list[int]] = defaultdict(list)
-    for index, district in enumerate(catalogue):
-        ci = int(math.floor(district.center.lat / grid_deg))
-        cj = int(math.floor(district.center.lon / grid_deg)) % lon_cells
-        grid[_pack_cell(ci, cj, lon_cells)].append(index)
-    grid_keys = array("q", sorted(grid))
-    grid_offsets, grid_ids = _csr([grid[key] for key in grid_keys])
-
     poly_entries = gazetteer.polygons
     poly_district_ids = array("q", [index for index, _ in poly_entries])
-    poly_bbox = array("d")
     poly_ring_offsets = array("q", [0])
     ring_point_offsets = array("q", [0])
     ring_lats = array("d")
@@ -172,8 +126,6 @@ def write_gazetteer_artifact(
     ring_count = 0
     point_count = 0
     for _, polygon in poly_entries:
-        box = polygon.bbox
-        poly_bbox.extend((box.south, box.west, box.north, box.east))
         for ring in polygon.rings:
             for lat, lon in ring:
                 ring_lats.append(lat)
@@ -189,9 +141,10 @@ def write_gazetteer_artifact(
         "grid_deg": grid_deg,
         "lon_cells": lon_cells,
         "districts": len(catalogue),
-        "states": len(state_names),
-        "aliases": len(alias_keys),
-        "grid_cells": len(grid_keys),
+        # Sizes of the indexes the reader's Gazetteer rebuilds.
+        "states": len(gazetteer.states),
+        "aliases": len(gazetteer._by_alias),
+        "grid_cells": len(gazetteer._grid),
         "polygons": len(poly_entries),
         "rings": ring_count,
         "vertices": point_count,
@@ -211,18 +164,7 @@ def write_gazetteer_artifact(
     writer.add_f64("districts.weight", weights)
     writer.add_i64("districts.alias_offsets", alias_offsets)
     writer.add_i64("districts.alias_ids", alias_ids)
-    writer.add_i64("keys.order", key_order)
-    writer.add_i64("states.name_ids", state_name_ids)
-    writer.add_i64("states.offsets", state_offsets)
-    writer.add_i64("states.district_ids", state_district_ids)
-    writer.add_strings("alias_index.keys", alias_keys)
-    writer.add_i64("alias_index.offsets", alias_key_offsets)
-    writer.add_i64("alias_index.district_ids", alias_key_ids)
-    writer.add_i64("grid.keys", grid_keys)
-    writer.add_i64("grid.offsets", grid_offsets)
-    writer.add_i64("grid.district_ids", grid_ids)
     writer.add_i64("polygons.district_ids", poly_district_ids)
-    writer.add_f64("polygons.bbox", poly_bbox)
     writer.add_i64("polygons.ring_offsets", poly_ring_offsets)
     writer.add_i64("rings.point_offsets", ring_point_offsets)
     writer.add_f64("rings.lat", ring_lats)

@@ -35,7 +35,7 @@ publish), ``live.snapshot_age_batches`` (batches folded past the served
 snapshot), and ``live.dirty_users`` (rebuild backlog); counters
 ``live.builds``, ``live.build_failures``, ``live.swaps``,
 ``live.swaps_skipped``; and a ``live.swap_lag`` latency histogram whose
-p95 is the freshness number ``BENCH_live.json`` reports.
+p95 is the pipeline's freshness.
 """
 
 from __future__ import annotations

@@ -4,9 +4,7 @@ The server sheds load rather than queueing it: when the bucket is empty
 a data request is answered ``429 Too Many Requests`` immediately, so the
 requests that *are* admitted keep their latency.  This is the classic
 admission-control trade — bounded latency for admitted work, explicit
-rejection for the rest — and it is what the closed-loop benchmark
-(`benchmarks/bench_serving_load.py`) measures: p95 of admitted requests
-must not degrade when the offered load doubles past the rate limit.
+rejection for the rest.
 
 The clock is injectable so tests can drive refill deterministically
 without sleeping.

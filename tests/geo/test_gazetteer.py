@@ -175,6 +175,25 @@ class TestSpatial:
         assert korean_gazetteer.nearest_within(sea, max_km=10.0) is None
         assert korean_gazetteer.nearest_within(sea, max_km=500.0) is not None
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lat=st.floats(-90.0, 90.0),
+        lon=st.floats(-180.0, 180.0),
+        max_km=st.sampled_from([1.0, 50.0, 150.0, 2_000.0]),
+    )
+    def test_nearest_within_is_nearest_under_the_cutoff(
+        self, korean_gazetteer, lat, lon, max_km
+    ):
+        """The early give-up never changes an answer: the result is the
+        nearest district (first strict minimum of a brute-force scan) when
+        it lies within ``max_km``, else ``None``."""
+        point = GeoPoint(lat, lon)
+        nearest = min(
+            korean_gazetteer.districts, key=lambda d: d.center.distance_km(point)
+        )
+        expected = nearest if nearest.center.distance_km(point) <= max_km else None
+        assert korean_gazetteer.nearest_within(point, max_km) is expected
+
     def test_within_radius_sorted(self, korean_gazetteer):
         center = korean_gazetteer.get("Seoul", "Jongno-gu").center
         hits = korean_gazetteer.within(center, radius_km=10.0)

@@ -46,6 +46,26 @@ class TestResolve:
         assert reverse.try_resolve(GeoPoint(30.0, 140.0)) is None
         assert reverse.try_resolve(GeoPoint(37.5, 127.0)) is not None
 
+    @pytest.mark.parametrize(
+        "lat, lon", [(0.0, 0.0), (90.0, 0.0), (-90.0, 0.0), (-37.0, -57.0)]
+    )
+    def test_far_point_gives_up_within_a_few_shells(
+        self, korean_gazetteer, monkeypatch, lat, lon
+    ):
+        """A point far from every centroid is refused after a few grid
+        shells, not a walk over the 0.5-degree grid's hundreds: ``GET
+        /reverse`` accepts any coordinates."""
+        shells = []
+        probe = korean_gazetteer._candidate_ids
+
+        def counted(center, ring, seen):
+            shells.append(ring)
+            return probe(center, ring, seen)
+
+        monkeypatch.setattr(korean_gazetteer, "_candidate_ids", counted)
+        assert ReverseGeocoder(korean_gazetteer).try_resolve(GeoPoint(lat, lon)) is None
+        assert len(shells) <= 3
+
     def test_max_distance_config(self, korean_gazetteer):
         tight = ReverseGeocoder(korean_gazetteer, max_distance_km=1.0)
         district = korean_gazetteer.get("Seoul", "Gangnam-gu")

@@ -1,6 +1,7 @@
 """RGAZ1 artifact round trips, validation failures, and f64 sections."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,7 +153,7 @@ class TestInfo:
         assert info["districts"] == len(Gazetteer.korean())
         assert info["polygons"] == 0
         assert info["grid_deg"] == 0.5
-        assert "grid.keys" in info["sections"]
+        assert "districts.lat" in info["sections"]
         assert "strings.bytes" in info["sections"]
         assert info["bytes"] > 0
 
@@ -188,6 +189,40 @@ class TestDecoder:
         assert gazetteer.states == builtin.states
         assert gazetteer.polygons == builtin.polygons
         assert gazetteer.grid_deg == builtin.grid_deg
+
+    def test_file_with_the_dropped_index_sections_decodes(self, tmp_path):
+        """A file from the writer that still emitted the never-read
+        ``keys.order``, ``states.*``, ``alias_index.*``, ``grid.*`` and
+        ``polygons.bbox`` sections decodes to its catalogue, and today's
+        writer gives the same meta without those sections."""
+        legacy = Path(__file__).parent / "data" / "legacy_sections.rgaz"
+        districts = [
+            _district("A-si", "X-do", 37.0, 127.0, aliases=("A", "Asi")),
+            _district("B-gu", "Y-si", 35.1, 129.0, aliases=("B",)),
+            _district("C-gun", "X-do", 36.2, 127.9),
+        ]
+        polygon = BoundaryPolygon(
+            [[(36.8, 126.8), (37.2, 126.8), (37.2, 127.2), (36.8, 127.2)]]
+        )
+        gazetteer = read_gazetteer_artifact(legacy)
+        assert gazetteer.districts == tuple(districts)
+        assert gazetteer.polygons == ((0, polygon),)
+
+        fresh = write_gazetteer_artifact(
+            tmp_path / "fresh.rgaz",
+            districts,
+            grid_deg=0.5,
+            polygons=[(("X-do", "A-si"), polygon)],
+            source="legacy-writer",
+        )
+        old_info = gazetteer_artifact_info(legacy)
+        new_info = gazetteer_artifact_info(fresh)
+        dropped = set(old_info["sections"]) - set(new_info["sections"])
+        assert {"keys.order", "grid.keys", "polygons.bbox"} <= dropped
+        assert set(new_info["sections"]) < set(old_info["sections"])
+        for key in ("path", "bytes", "sections"):
+            del old_info[key], new_info[key]
+        assert new_info == old_info
 
     def test_missing_sections_raise_storage_error(self, tmp_path):
         writer = BufferWriter()

@@ -142,7 +142,7 @@ class TestInfo:
         assert "grid: 0.5deg" in stdout
         assert "polygons: 0" in stdout
         assert "sections:" in stdout
-        assert "grid.keys" in stdout
+        assert "districts.lat" in stdout
 
     def test_missing_artifact_exits_3_one_line(self, capsys, tmp_path):
         code = main(["geodata", "info", str(tmp_path / "absent.rgaz")])

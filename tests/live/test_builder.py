@@ -83,6 +83,29 @@ class TestIncrementalBuild:
         touched = {tweet.user_id for tweet in tail}
         assert 0 < accumulator.dirty_count <= len(touched)
 
+    def test_delta_build_rebuilds_only_the_marked_users(self, small_ctx, monkeypatch):
+        """A warm build costs O(churn): marking k users dirty re-derives
+        exactly those k users, and the snapshot is still the batch one."""
+        dataset = small_ctx.korean_dataset
+        accumulator, builder = folded(dataset, "korean")
+        builder.build()  # cold build: warms every per-user cache
+        study_ids = sorted(accumulator.study_user_ids())
+        churned = study_ids[::20]
+        assert 0 < len(churned) < len(study_ids)
+
+        rebuilt = []
+        rebuild_user = builder._rebuild_user
+
+        def spy(uid):
+            rebuilt.append(uid)
+            rebuild_user(uid)
+
+        monkeypatch.setattr(builder, "_rebuild_user", spy)
+        accumulator.mark_dirty(churned)
+        live = builder.build()
+        assert sorted(rebuilt) == churned
+        assert live.digest == batch_snapshot_of(accumulator, "korean").digest
+
 
 class TestFailureContainment:
     def test_failed_build_loses_no_dirt(self, corpus, monkeypatch):

@@ -1,4 +1,5 @@
-"""SingleFlight: duplicate concurrent calls collapse into one execution."""
+"""SingleFlight: duplicate concurrent calls collapse into one execution,
+on its own and behind the serving app's ``/reverse``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.serving import SingleFlight
+from repro.geo.reverse import ReverseGeocoder
+from repro.geocode.backend import DirectBackend
+from repro.geocode.service import GeocodeService
+from repro.serving import AsyncServerThread, ServingApp, SingleFlight, SnapshotStore
+from tests.serving.wire import WireClient
 
 
 def _wait_until(predicate, timeout: float = 5.0) -> None:
@@ -117,3 +122,66 @@ class TestFailures:
             "followers": 0,
             "failures": 0,
         }
+
+
+class TestServingPath:
+    """``ServingApp`` enables single-flight on its geocode service, so
+    concurrent cold ``/reverse`` requests for one cell cost one backend
+    lookup, in-process and over the asyncio server alike."""
+
+    REQUESTS = 6  # within the asyncio server's executor width
+
+    @pytest.mark.parametrize("transport", ["dispatch", "asyncio"])
+    def test_concurrent_cold_reverse_costs_one_lookup(
+        self, small_ctx, korean_snapshot, transport
+    ):
+        release = threading.Event()
+        lookups = []
+
+        class GatedBackend:
+            """Counts lookups and holds each until the test releases it."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def lookup(self, point):
+                lookups.append(point)
+                release.wait(10.0)
+                return self._inner.lookup(point)
+
+        geocoder = GeocodeService(
+            GatedBackend(
+                DirectBackend(ReverseGeocoder(small_ctx.korean_dataset.gazetteer))
+            )
+        )
+        app = ServingApp(SnapshotStore(korean_snapshot), geocoder)
+        target = "/reverse?lat=37.5&lon=127.0"
+        server = AsyncServerThread(app).start() if transport == "asyncio" else None
+
+        def request():
+            if server is None:
+                return app.dispatch("GET", target)
+            with WireClient(server.port) as client:
+                return client.get(target)
+
+        try:
+            with ThreadPoolExecutor(max_workers=self.REQUESTS) as pool:
+                futures = [pool.submit(request) for _ in range(self.REQUESTS)]
+                try:
+                    # Every request has arrived once it is in the backend
+                    # or registered as a follower; then let the flight land.
+                    _wait_until(
+                        lambda: len(lookups) + app.flight.stats().followers
+                        >= self.REQUESTS
+                    )
+                finally:
+                    release.set()
+                responses = [future.result(timeout=10.0) for future in futures]
+        finally:
+            if server is not None:
+                server.shutdown()
+
+        assert len(lookups) == 1
+        assert app.flight.stats().followers == self.REQUESTS - 1
+        assert [status for status, _ in responses] == [200] * self.REQUESTS
+        assert len({body for _, body in responses}) == 1

@@ -97,6 +97,27 @@ class TestEndOfStream:
         assert queue.stats.dropped == 0  # capacity ample: every policy lossless
         assert study_to_json(snapshot.result) == expected
 
+    def test_journal_is_written_once_per_batch(self, small_ctx, tmp_path, monkeypatch):
+        """The write-ahead log takes one ``append_many`` per micro-batch,
+        never one per tweet: a per-tweet append is a write and flush per
+        tweet on the ingest path."""
+        appends = []
+        append_many = TweetStore.append_many
+
+        def spy(store, path, tweets):
+            tweets = list(tweets)
+            appends.append(len(tweets))
+            return append_many(store, path, tweets)
+
+        monkeypatch.setattr(TweetStore, "append_many", spy)
+        dataset = small_ctx.korean_dataset
+        expected = study_to_json(small_ctx.korean_study)
+        snapshot, _ = run_stream(dataset, small_name(expected), tmp_path)
+        assert snapshot.exhausted
+        assert snapshot.batches > 1
+        assert len(appends) == snapshot.batches
+        assert sum(appends) == len(dataset.tweets)
+
     def test_disconnects_do_not_change_the_study(self, corpus, tmp_path):
         dataset, expected = corpus
         snapshot, _ = run_stream(
