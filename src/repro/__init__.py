@@ -28,69 +28,30 @@ saved studies: versioned hot-swappable snapshots, single-flight geocode
 batching, admission control).
 """
 
-from repro.analysis import (
-    ReliabilityTable,
-    StudyResult,
-    WeightingScheme,
-    render_comparison,
-    render_dataset_summary,
-    render_fig6,
-    render_fig7,
-    render_funnel,
-    render_tweet_distribution,
-    run_study,
-)
-from repro.engine import (
-    EngineConfig,
-    MetricsRegistry,
-    RunContext,
-    ShardedExecutor,
-    StudyEngine,
-)
-from repro.errors import ReproError
-from repro.grouping import (
-    GroupStatistics,
-    LocationString,
-    TopKGroup,
-    UserGrouping,
-    compute_group_statistics,
-    group_users,
-)
-from repro.pipelines import (
-    EXPERIMENTS,
-    run_experiment,
-    run_korean_study,
-    run_ladygaga_study,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "analysis.correlation": ("run_study",),
+    "analysis.reliability": ("ReliabilityTable", "WeightingScheme"),
+    "analysis.result": ("StudyResult",),
+    "analysis.report": (
+        "render_comparison", "render_dataset_summary", "render_fig6", "render_fig7",
+        "render_funnel", "render_tweet_distribution",
+    ),
+    "engine.context": ("RunContext",),
+    "engine.engine": ("EngineConfig", "StudyEngine"),
+    "engine.metrics": ("MetricsRegistry",),
+    "engine.sharding": ("ShardedExecutor",),
+    "errors": ("ReproError",),
+    "grouping.stats": ("GroupStatistics", "compute_group_statistics"),
+    "grouping.strings": ("LocationString",),
+    "grouping.topk": ("TopKGroup", "UserGrouping", "group_users"),
+    "pipelines.experiments": ("EXPERIMENTS", "run_experiment"),
+    "pipelines.study": ("run_korean_study", "run_ladygaga_study"),
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EXPERIMENTS",
-    "EngineConfig",
-    "GroupStatistics",
-    "LocationString",
-    "MetricsRegistry",
-    "ReliabilityTable",
-    "ReproError",
-    "RunContext",
-    "ShardedExecutor",
-    "StudyEngine",
-    "StudyResult",
-    "TopKGroup",
-    "UserGrouping",
-    "WeightingScheme",
-    "__version__",
-    "compute_group_statistics",
-    "group_users",
-    "render_comparison",
-    "render_dataset_summary",
-    "render_fig6",
-    "render_fig7",
-    "render_funnel",
-    "render_tweet_distribution",
-    "run_experiment",
-    "run_korean_study",
-    "run_ladygaga_study",
-    "run_study",
-]
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

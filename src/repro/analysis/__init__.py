@@ -7,88 +7,33 @@ Public surface of :mod:`repro.analysis`:
 * ``render_*`` — plain-text renderings of every paper figure/table
 """
 
-from repro.analysis.correlation import StudyResult, run_study
-from repro.analysis.incremental import IncrementalStudyAccumulator
-from repro.analysis.export import (
-    export_group_statistics,
-    export_groupings,
-    export_observations,
-)
-from repro.analysis.mentions import (
-    MentionAgreement,
-    MentionCorrelationStudy,
-    render_mention_agreement,
-)
-from repro.analysis.reliability import ReliabilityTable, WeightingScheme
-from repro.analysis.regional import (
-    RegionalRow,
-    regional_breakdown,
-    render_regional_breakdown,
-)
-from repro.analysis.serialization import (
-    load_study,
-    save_study,
-    study_digest,
-    study_to_json,
-)
-from repro.analysis.stability import (
-    StabilityResult,
-    median_timestamp,
-    render_stability,
-    split_half_stability,
-)
-from repro.analysis.significance import (
-    ChiSquareResult,
-    ShareInterval,
-    bootstrap_share_intervals,
-    chi2_sf,
-    chi_square_independence,
-    compare_group_distributions,
-)
-from repro.analysis.report import (
-    render_comparison,
-    render_dataset_summary,
-    render_fig6,
-    render_fig7,
-    render_funnel,
-    render_merged_strings,
-    render_tweet_distribution,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChiSquareResult",
-    "IncrementalStudyAccumulator",
-    "MentionAgreement",
-    "MentionCorrelationStudy",
-    "RegionalRow",
-    "ReliabilityTable",
-    "ShareInterval",
-    "StabilityResult",
-    "StudyResult",
-    "WeightingScheme",
-    "bootstrap_share_intervals",
-    "chi2_sf",
-    "chi_square_independence",
-    "compare_group_distributions",
-    "export_group_statistics",
-    "export_groupings",
-    "export_observations",
-    "load_study",
-    "median_timestamp",
-    "regional_breakdown",
-    "render_mention_agreement",
-    "render_regional_breakdown",
-    "render_stability",
-    "save_study",
-    "study_digest",
-    "split_half_stability",
-    "study_to_json",
-    "render_comparison",
-    "render_dataset_summary",
-    "render_fig6",
-    "render_fig7",
-    "render_funnel",
-    "render_merged_strings",
-    "render_tweet_distribution",
-    "run_study",
-]
+_EXPORTS = {
+    "correlation": ("run_study",),
+    "result": ("StudyResult",),
+    "incremental": ("IncrementalStudyAccumulator",),
+    "export": ("export_group_statistics", "export_groupings", "export_observations"),
+    "mentions": (
+        "MentionAgreement", "MentionCorrelationStudy", "render_mention_agreement",
+    ),
+    "reliability": ("ReliabilityTable", "WeightingScheme"),
+    "regional": ("RegionalRow", "regional_breakdown", "render_regional_breakdown"),
+    "serialization": ("load_study", "save_study", "study_digest", "study_to_json"),
+    "stability": (
+        "StabilityResult", "median_timestamp", "render_stability",
+        "split_half_stability",
+    ),
+    "significance": (
+        "ChiSquareResult", "ShareInterval", "bootstrap_share_intervals", "chi2_sf",
+        "chi_square_independence", "compare_group_distributions",
+    ),
+    "report": (
+        "render_comparison", "render_dataset_summary", "render_fig6", "render_fig7",
+        "render_funnel", "render_merged_strings", "render_tweet_distribution",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

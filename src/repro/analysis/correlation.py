@@ -10,46 +10,19 @@ as composable stages with shared metrics and optional sharding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.datasets.refine import RefinementFunnel
-from repro.geo.gazetteer import Gazetteer
-from repro.geo.region import District
-from repro.grouping.stats import GroupStatistics
-from repro.grouping.topk import UserGrouping
-from repro.storage.tweetstore import TweetStore
-from repro.storage.userstore import UserStore
-from repro.twitter.models import GeotaggedObservation
-from repro.yahooapi.client import ClientStats, PlaceFinderClient
+from repro.analysis.result import StudyResult
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.engine.context import RunContext
     from repro.engine.engine import EngineConfig
+    from repro.geo.gazetteer import Gazetteer
+    from repro.storage.tweetstore import TweetStore
+    from repro.storage.userstore import UserStore
+    from repro.yahooapi.client import PlaceFinderClient
 
-
-@dataclass
-class StudyResult:
-    """Everything the study produces for one dataset.
-
-    Attributes:
-        dataset_name: Label for reports ("Korean", "Lady Gaga").
-        funnel: Refinement attrition accounting (experiment E9).
-        observations: The grouping method's input rows.
-        groupings: Per-user Top-k outcomes.
-        statistics: Per-group aggregates (experiments E1-E3).
-        profile_districts: Each study user's resolved profile district
-            (consumed by the localisation experiment).
-        api_stats: Simulated PlaceFinder usage during reverse geocoding.
-    """
-
-    dataset_name: str
-    funnel: RefinementFunnel
-    observations: list[GeotaggedObservation]
-    groupings: dict[int, UserGrouping]
-    statistics: GroupStatistics
-    profile_districts: dict[int, District]
-    api_stats: ClientStats
+__all__ = ["StudyResult", "run_study"]
 
 
 def run_study(

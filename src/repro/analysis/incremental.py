@@ -39,8 +39,7 @@ from bisect import insort
 from collections import Counter
 from pathlib import Path
 
-from repro.analysis.correlation import StudyResult
-from repro.datasets.refine import RefinementFunnel
+from repro.analysis.result import RefinementFunnel, StudyResult
 from repro.errors import ConfigurationError
 from repro.geo.forward import GeocodeStatus, TextGeocoder
 from repro.geo.gazetteer import Gazetteer

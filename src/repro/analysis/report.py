@@ -7,7 +7,7 @@ benchmark harness prints the same rows/series the paper reports.
 
 from __future__ import annotations
 
-from repro.datasets.refine import RefinementFunnel
+from repro.analysis.result import RefinementFunnel
 from repro.grouping.merge import MergedString
 from repro.grouping.stats import GroupStatistics
 from repro.grouping.topk import TopKGroup

@@ -17,9 +17,8 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.correlation import StudyResult
 from repro.analysis.interner import StringInterner, study_interner
-from repro.datasets.refine import RefinementFunnel
+from repro.analysis.result import RefinementFunnel, StudyResult
 from repro.errors import ConfigurationError, ReproError, StorageError
 from repro.geo.gazetteer import Gazetteer
 from repro.grouping.merge import MergedString

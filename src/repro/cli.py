@@ -24,81 +24,33 @@ import json
 import sys
 import time
 from pathlib import Path
-from urllib.parse import quote
+from typing import TYPE_CHECKING
 
-from repro.analysis.correlation import run_study
-from repro.analysis.regional import regional_breakdown, render_regional_breakdown
-from repro.analysis.reliability import ReliabilityTable
-from repro.analysis.report import (
-    render_fig6,
-    render_fig7,
-    render_funnel,
-    render_tweet_distribution,
-)
-from repro.analysis.incremental import IncrementalStudyAccumulator
-from repro.analysis.serialization import load_study, save_study
-from repro.analysis.significance import bootstrap_share_intervals
-from repro.analysis.stability import render_stability, split_half_stability
-from repro.engine import EngineConfig, MetricsRegistry, RunContext, render_trace
-from repro.geodata.prepare import prepare_artifact
-from repro.geodata.artifact import gazetteer_artifact_info
-from repro.geodata.registry import dataset_gazetteer
-from repro.datasets.korean import KoreanDatasetConfig, build_korean_dataset
-from repro.datasets.ladygaga import LadyGagaDatasetConfig, build_ladygaga_dataset
-from repro.errors import (
-    FleetError,
-    ReplicaUnreachableError,
-    ReproError,
-    ShardExecutionError,
-    StorageError,
-)
-from repro.fleet import (
-    FleetController,
-    FleetFront,
-    PooledReplicaClient,
-    ReplicaSet,
-    ReplicaSupervisor,
-    RolloutConfig,
-    SnapshotPublisher,
-)
-from repro.events.evaluation import (
-    LocalizationExperiment,
-    make_korean_scenarios,
-    render_localization_table,
-)
-from repro.geo.gazetteer import BUILTIN_GRID_DEG
-from repro.geo.reverse import ReverseGeocoder
-from repro.geocode.backend import DirectBackend
-from repro.geocode.service import GeocodeService
-from repro.live import DeltaSnapshotBuilder, LiveConfig, LiveStudyPipeline
-from repro.pipelines.experiments import EXPERIMENTS, run_experiment
-from repro.serving import (
-    AsyncStudyServer,
-    ServingApp,
-    SnapshotStore,
-    StudyServer,
-    TokenBucket,
-    install_reload_signal,
-    load_snapshot,
-    render_serving_summary,
-    start_background_server,
-)
-from repro.streaming import (
-    BackpressurePolicy,
-    BoundedTweetQueue,
-    CheckpointLog,
-    FirehoseSource,
-    StreamConfig,
-    StreamConsumer,
-    StreamPump,
-)
-from repro.twitter.tweetgen import CollectionWindow
+from repro.errors import ReproError, ShardExecutionError, StorageError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.serving.http import ServingApp
+
+#: ``repro experiment`` ids, in the order ``--help`` lists them.  The
+#: registry itself (:data:`repro.pipelines.experiments.EXPERIMENTS`)
+#: imports both dataset builders, so the parser does not import it; a
+#: tier-1 test keeps the two key sets equal.
+EXPERIMENT_IDS = ("E1", "E10", "E2", "E3", "E4", "E5", "E6+E7", "E8", "E9")
+
+#: ``--policy`` values: those of
+#: :class:`repro.streaming.queue.BackpressurePolicy`, the default first
+#: (a tier-1 test keeps them equal).
+BACKPRESSURE_POLICIES = ("block", "drop-oldest", "shed")
 
 
 def _build_dataset(args: argparse.Namespace):
     """Build the dataset selected by ``args`` (korean | ladygaga)."""
+    from repro.twitter.tweetgen import CollectionWindow
+
     window = CollectionWindow(start_ms=1_314_835_200_000, days=args.days)
     if args.dataset == "korean":
+        from repro.datasets.korean import KoreanDatasetConfig, build_korean_dataset
+
         config = KoreanDatasetConfig(
             population_size=args.population,
             crawl_limit=min(args.users, args.population),
@@ -107,6 +59,8 @@ def _build_dataset(args: argparse.Namespace):
             use_api_timelines=False,
         )
         return build_korean_dataset(config)
+    from repro.datasets.ladygaga import LadyGagaDatasetConfig, build_ladygaga_dataset
+
     config = LadyGagaDatasetConfig(
         population_size=args.population, window=window, seed=args.seed
     )
@@ -115,6 +69,10 @@ def _build_dataset(args: argparse.Namespace):
 
 def _run_engine_study(args: argparse.Namespace):
     """Build the dataset and run the study with the CLI's engine options."""
+    from repro.analysis.correlation import run_study
+    from repro.engine.context import RunContext
+    from repro.engine.engine import EngineConfig
+
     dataset = _build_dataset(args)
     context = RunContext(dataset_name=args.dataset, seed=args.seed)
     if hasattr(dataset, "crawl"):
@@ -137,6 +95,16 @@ def _run_engine_study(args: argparse.Namespace):
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from repro.analysis.reliability import ReliabilityTable
+    from repro.analysis.report import (
+        render_fig6,
+        render_fig7,
+        render_funnel,
+        render_tweet_distribution,
+    )
+    from repro.analysis.serialization import save_study
+    from repro.engine.context import render_trace
+
     dataset, study, context = _run_engine_study(args)
     print(render_funnel(study.funnel))
     print()
@@ -158,12 +126,21 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_engine_trace(args: argparse.Namespace) -> int:
+    from repro.engine.context import render_trace
+
     _, _, context = _run_engine_study(args)
     print(render_trace(context))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.regional import regional_breakdown, render_regional_breakdown
+    from repro.analysis.report import render_fig7
+    from repro.analysis.serialization import load_study
+    from repro.analysis.significance import bootstrap_share_intervals
+    from repro.analysis.stability import render_stability, split_half_stability
+    from repro.geodata.registry import dataset_gazetteer
+
     gazetteer = dataset_gazetteer(args.gazetteer)
     study = load_study(args.study, gazetteer)
     print(f"loaded study {study.dataset_name!r}: "
@@ -192,6 +169,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.pipelines.experiments import run_experiment
+
     print(run_experiment(args.id, scale=args.scale))
     return 0
 
@@ -211,6 +190,13 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
+    from repro.analysis.correlation import run_study
+    from repro.events.evaluation import (
+        LocalizationExperiment,
+        make_korean_scenarios,
+        render_localization_table,
+    )
+
     args.dataset = "korean"  # localisation scenarios are Korean
     dataset = _build_dataset(args)
     study = run_study(dataset.users, dataset.tweets, dataset.gazetteer, "Korean")
@@ -240,6 +226,20 @@ EXIT_SHARD_FAILURE = 4
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.analysis.incremental import IncrementalStudyAccumulator
+    from repro.analysis.report import (
+        render_fig6,
+        render_fig7,
+        render_funnel,
+        render_tweet_distribution,
+    )
+    from repro.analysis.serialization import save_study
+    from repro.engine.context import RunContext, render_trace
+    from repro.streaming.checkpoint import CheckpointLog
+    from repro.streaming.consumer import StreamConfig, StreamConsumer, StreamPump
+    from repro.streaming.queue import BackpressurePolicy, BoundedTweetQueue
+    from repro.streaming.source import FirehoseSource
+
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     wal_path = state_dir / "wal.jsonl"
@@ -333,6 +333,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_geodata_prepare(args: argparse.Namespace) -> int:
     """Compile a district catalogue into a gazetteer artifact."""
+    from repro.geodata.prepare import prepare_artifact
+
     try:
         summary = prepare_artifact(
             args.out,
@@ -356,6 +358,8 @@ def _cmd_geodata_prepare(args: argparse.Namespace) -> int:
 
 def _cmd_geodata_info(args: argparse.Namespace) -> int:
     """Print version, counts, and sections of a gazetteer artifact."""
+    from repro.geodata.artifact import gazetteer_artifact_info
+
     try:
         info = gazetteer_artifact_info(args.artifact)
     except StorageError as exc:
@@ -375,6 +379,19 @@ def _cmd_geodata_info(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a saved study over HTTP until interrupted."""
+    from repro.geo.reverse import ReverseGeocoder
+    from repro.geocode.backend import DirectBackend
+    from repro.geocode.service import GeocodeService
+    from repro.geodata.registry import dataset_gazetteer
+    from repro.serving.http import (
+        ServingApp,
+        StudyServer,
+        install_reload_signal,
+        render_serving_summary,
+    )
+    from repro.serving.ratelimit import TokenBucket
+    from repro.serving.state import SnapshotStore, load_snapshot
+
     gazetteer = dataset_gazetteer(args.gazetteer)
     # The "current" artifact path is mutable state: a fleet publisher may
     # retarget this replica at a new snapshot via /admin/reload?snapshot=,
@@ -433,6 +450,9 @@ def _serve_asyncio_forever(app: ServingApp, host: str, port: int, hup: bool) -> 
     """Foreground event-loop serving (`repro serve --server asyncio`)."""
     import asyncio
 
+    from repro.serving.aio import AsyncStudyServer
+    from repro.serving.http import render_serving_summary
+
     async def run() -> None:
         server = AsyncStudyServer(app, host=host, port=port)
         await server.start()
@@ -454,6 +474,17 @@ def _serve_asyncio_forever(app: ServingApp, host: str, port: int, hup: bool) -> 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
     """Boot N subprocess replicas behind one fleet front (`repro fleet run`)."""
+    from repro.engine.metrics import MetricsRegistry
+    from repro.errors import FleetError
+    from repro.fleet.controller import FleetController
+    from repro.fleet.front import FleetFront
+    from repro.fleet.publisher import SnapshotPublisher
+    from repro.fleet.replica import ReplicaSupervisor
+    from repro.fleet.rollout import RolloutConfig
+    from repro.fleet.targets import ReplicaSet
+    from repro.serving.aio import start_background_server
+    from repro.serving.ratelimit import TokenBucket
+
     route = "hash" if args.hash else "round-robin"
     metrics = MetricsRegistry()
     targets = ReplicaSet()
@@ -515,6 +546,11 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_publish(args: argparse.Namespace) -> int:
     """Ask a running fleet front to roll out a snapshot (`repro fleet publish`)."""
+    from urllib.parse import quote
+
+    from repro.errors import ReplicaUnreachableError
+    from repro.fleet.client import PooledReplicaClient
+
     client = PooledReplicaClient(args.front_host, args.front_port)
     target = f"/fleet/publish?snapshot={quote(args.snapshot, safe='')}"
     if args.no_gate:
@@ -570,6 +606,22 @@ def _cmd_live(args: argparse.Namespace) -> int:
     server — queries observe each publish as a generation bump on
     ``/healthz``.
     """
+    from repro.analysis.incremental import IncrementalStudyAccumulator
+    from repro.engine.context import RunContext
+    from repro.geo.reverse import ReverseGeocoder
+    from repro.geocode.backend import DirectBackend
+    from repro.geocode.service import GeocodeService
+    from repro.live.builder import DeltaSnapshotBuilder
+    from repro.live.pipeline import LiveConfig, LiveStudyPipeline
+    from repro.serving.aio import start_background_server
+    from repro.serving.http import ServingApp, render_serving_summary
+    from repro.serving.ratelimit import TokenBucket
+    from repro.serving.state import SnapshotStore
+    from repro.streaming.checkpoint import CheckpointLog
+    from repro.streaming.consumer import StreamConfig, StreamConsumer, StreamPump
+    from repro.streaming.queue import BackpressurePolicy, BoundedTweetQueue
+    from repro.streaming.source import FirehoseSource
+
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     wal_path = state_dir / "wal.jsonl"
@@ -731,6 +783,8 @@ def package_version() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
+    from repro.geo.gazetteer import BUILTIN_GRID_DEG
+
     parser = _OneLineArgumentParser(
         prog="repro",
         description="Reproduction of Lee & Hwang (ICDE 2012): spatial "
@@ -771,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     experiment = subparsers.add_parser("experiment", help="render an E1-E10 artefact")
-    experiment.add_argument("id", choices=sorted(EXPERIMENTS))
+    experiment.add_argument("id", choices=EXPERIMENT_IDS)
     experiment.add_argument("--scale", choices=("small", "default"), default="small")
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -785,8 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stream", help="ingest the firehose incrementally with checkpoints"
     )
     stream.add_argument("--dataset", choices=("korean", "ladygaga"), default="ladygaga")
-    stream.add_argument("--policy", choices=[p.value for p in BackpressurePolicy],
-                        default=BackpressurePolicy.BLOCK.value,
+    stream.add_argument("--policy", choices=BACKPRESSURE_POLICIES,
+                        default=BACKPRESSURE_POLICIES[0],
                         help="backpressure policy when the ingest queue fills")
     stream.add_argument("--batch-size", type=int, default=256,
                         help="tweets folded per micro-batch")
@@ -858,8 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="serving front end (same choice as `repro serve`)")
     live.add_argument("--burst", type=int, default=32,
                       help="admission burst capacity above the sustained rate")
-    live.add_argument("--policy", choices=[p.value for p in BackpressurePolicy],
-                      default=BackpressurePolicy.BLOCK.value,
+    live.add_argument("--policy", choices=BACKPRESSURE_POLICIES,
+                      default=BACKPRESSURE_POLICIES[0],
                       help="backpressure policy when the ingest queue fills")
     live.add_argument("--batch-size", type=int, default=256,
                       help="tweets folded per micro-batch")

@@ -7,34 +7,17 @@ Public surface of :mod:`repro.datasets`:
 * :class:`RefinementPipeline` — crawled users -> grouping-ready rows
 """
 
-from repro.datasets.korean import (
-    KoreanDataset,
-    KoreanDatasetConfig,
-    build_korean_dataset,
-)
-from repro.datasets.ladygaga import (
-    STREAMING_MOBILITY_MIX,
-    STREAMING_PROFILE_MIX,
-    LadyGagaDataset,
-    LadyGagaDatasetConfig,
-    build_ladygaga_dataset,
-)
-from repro.datasets.refine import (
-    RefinementFunnel,
-    RefinementPipeline,
-    RefinementResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STREAMING_MOBILITY_MIX",
-    "STREAMING_PROFILE_MIX",
-    "KoreanDataset",
-    "KoreanDatasetConfig",
-    "LadyGagaDataset",
-    "LadyGagaDatasetConfig",
-    "RefinementFunnel",
-    "RefinementPipeline",
-    "RefinementResult",
-    "build_korean_dataset",
-    "build_ladygaga_dataset",
-]
+_EXPORTS = {
+    "korean": ("KoreanDataset", "KoreanDatasetConfig", "build_korean_dataset"),
+    "ladygaga": (
+        "STREAMING_MOBILITY_MIX", "STREAMING_PROFILE_MIX", "LadyGagaDataset",
+        "LadyGagaDatasetConfig", "build_ladygaga_dataset",
+    ),
+    "refine": ("RefinementFunnel", "RefinementPipeline", "RefinementResult"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,57 +16,15 @@ The funnel's per-step counts are an experiment artefact themselves (E9).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.analysis.result import RefinementFunnel
 from repro.geo.forward import TextGeocoder
 from repro.geo.region import District
 from repro.storage.tweetstore import TweetStore
 from repro.storage.userstore import UserStore
 from repro.twitter.models import GeotaggedObservation, TwitterUser
 from repro.yahooapi.client import PlaceFinderClient
-
-
-@dataclass
-class RefinementFunnel:
-    """Per-step attrition counts of the refinement.
-
-    Attributes:
-        crawled_users: Users entering the funnel.
-        profile_status_counts: Forward-geocoding outcome tally (by
-            :class:`GeocodeStatus` value) over all crawled users.
-        well_defined_users: Users surviving step 2.
-        users_with_gps: Well-defined users with >= ``min_gps_tweets``.
-        total_tweets: Tweets of crawled users in the store.
-        gps_tweets: GPS-tagged tweets among them.
-        resolved_observations: Per-tweet observations produced.
-        unresolvable_gps_tweets: GPS tweets the reverse geocoder refused.
-        study_users: Final user count (non-empty observation sets).
-    """
-
-    crawled_users: int = 0
-    profile_status_counts: Counter = field(default_factory=Counter)
-    well_defined_users: int = 0
-    users_with_gps: int = 0
-    total_tweets: int = 0
-    gps_tweets: int = 0
-    resolved_observations: int = 0
-    unresolvable_gps_tweets: int = 0
-    study_users: int = 0
-
-    def as_dict(self) -> dict[str, int | dict[str, int]]:
-        """JSON-friendly view for reports."""
-        return {
-            "crawled_users": self.crawled_users,
-            "profile_status_counts": dict(self.profile_status_counts),
-            "well_defined_users": self.well_defined_users,
-            "users_with_gps": self.users_with_gps,
-            "total_tweets": self.total_tweets,
-            "gps_tweets": self.gps_tweets,
-            "resolved_observations": self.resolved_observations,
-            "unresolvable_gps_tweets": self.unresolvable_gps_tweets,
-            "study_users": self.study_users,
-        }
 
 
 @dataclass

@@ -12,55 +12,25 @@ Public surface of :mod:`repro.engine`:
   :class:`Stage` protocol for swapping in custom ones
 """
 
-from repro.engine.context import RunContext, StageSpan, render_trace
-from repro.engine.engine import (
-    EngineConfig,
-    EngineRun,
-    StudyEngine,
-    default_engine_config,
-    default_stages,
-)
-from repro.engine.metrics import LatencyHistogram, MetricsRegistry
-from repro.engine.sharding import (
-    BACKENDS,
-    ShardedExecutor,
-    ShardOutcome,
-    ShardRunReport,
-    WorkerFaultPlan,
-    partition,
-)
-from repro.engine.stages import (
-    GroupingStage,
-    ProfileGeocodeStage,
-    RefineStage,
-    ReverseGeocodeStage,
-    Stage,
-    StatisticsStage,
-    StudyState,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "EngineConfig",
-    "EngineRun",
-    "GroupingStage",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "ProfileGeocodeStage",
-    "RefineStage",
-    "ReverseGeocodeStage",
-    "RunContext",
-    "ShardOutcome",
-    "ShardRunReport",
-    "ShardedExecutor",
-    "Stage",
-    "StageSpan",
-    "StatisticsStage",
-    "StudyEngine",
-    "StudyState",
-    "WorkerFaultPlan",
-    "default_engine_config",
-    "default_stages",
-    "partition",
-    "render_trace",
-]
+_EXPORTS = {
+    "context": ("RunContext", "StageSpan", "render_trace"),
+    "engine": (
+        "EngineConfig", "EngineRun", "StudyEngine", "default_engine_config",
+        "default_stages",
+    ),
+    "metrics": ("LatencyHistogram", "MetricsRegistry"),
+    "sharding": (
+        "BACKENDS", "ShardedExecutor", "ShardOutcome", "ShardRunReport",
+        "WorkerFaultPlan", "partition",
+    ),
+    "stages": (
+        "GroupingStage", "ProfileGeocodeStage", "RefineStage", "ReverseGeocodeStage",
+        "Stage", "StatisticsStage", "StudyState",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.analysis.correlation import StudyResult
+from repro.analysis.result import StudyResult
 from repro.engine.context import RunContext
 from repro.engine.sharding import BACKENDS, ShardedExecutor, WorkerFaultPlan
 from repro.engine.stages import (

@@ -2,7 +2,7 @@
 
 Before the staged engine, every layer kept its own accounting island —
 :class:`~repro.yahooapi.client.ClientStats` inside the PlaceFinder client,
-:class:`~repro.datasets.refine.RefinementFunnel` inside the refinement,
+:class:`~repro.analysis.result.RefinementFunnel` inside the refinement,
 crawl counters inside :class:`~repro.twitter.crawler.CrawlResult`.  The
 :class:`MetricsRegistry` gives one place all of them report into, so a
 single :meth:`MetricsRegistry.snapshot` call describes a whole study run.

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from repro.datasets.refine import RefinementFunnel
+from repro.analysis.result import RefinementFunnel
 from repro.engine.context import RunContext
 from repro.engine.sharding import ShardedExecutor, ShardRunReport
 from repro.errors import ConfigurationError

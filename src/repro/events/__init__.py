@@ -11,74 +11,34 @@ study for (§II), plus its proposed improvement (§V):
   :class:`LocalizationExperiment` harness (experiment E10)
 """
 
-from repro.events.burst import (
-    BurstAlarm,
-    BurstDetector,
-    ExponentialDecayFit,
-    fit_exponential_decay,
-)
-from repro.events.classifier import (
-    EventTweetClassifier,
-    LabeledTweet,
-    default_training_set,
-    extract_features,
-)
-from repro.events.evaluation import (
-    DetectionOutcome,
-    LocalizationExperiment,
-    LocalizationOutcome,
-    default_estimators,
-    make_korean_scenarios,
-    mean_error_by_scheme,
-    render_localization_table,
-)
-from repro.events.injector import EventTweetInjector
-from repro.events.kalman import KalmanLocalizer, Measurement
-from repro.events.online import OnlineAlarm, OnlineEventDetector, OnlineStats
-from repro.events.particle import ParticleLocalizer
-from repro.events.scenario import EventScenario, WitnessGenerator, WitnessReport
-from repro.events.trends import Trend, TrendDetector
-from repro.events.twitris import SliceKey, SliceSummary, TwitrisSummarizer
-from repro.events.weighted import (
-    MIN_PROFILE_WEIGHT,
-    MedianLocalizer,
-    WeightedCentroidLocalizer,
-    build_measurements,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MIN_PROFILE_WEIGHT",
-    "BurstAlarm",
-    "BurstDetector",
-    "DetectionOutcome",
-    "EventScenario",
-    "EventTweetClassifier",
-    "EventTweetInjector",
-    "ExponentialDecayFit",
-    "KalmanLocalizer",
-    "LabeledTweet",
-    "OnlineAlarm",
-    "OnlineEventDetector",
-    "OnlineStats",
-    "LocalizationExperiment",
-    "LocalizationOutcome",
-    "Measurement",
-    "MedianLocalizer",
-    "ParticleLocalizer",
-    "SliceKey",
-    "SliceSummary",
-    "Trend",
-    "TrendDetector",
-    "TwitrisSummarizer",
-    "WeightedCentroidLocalizer",
-    "WitnessGenerator",
-    "WitnessReport",
-    "build_measurements",
-    "default_estimators",
-    "default_training_set",
-    "extract_features",
-    "fit_exponential_decay",
-    "make_korean_scenarios",
-    "mean_error_by_scheme",
-    "render_localization_table",
-]
+_EXPORTS = {
+    "burst": (
+        "BurstAlarm", "BurstDetector", "ExponentialDecayFit", "fit_exponential_decay",
+    ),
+    "classifier": (
+        "EventTweetClassifier", "LabeledTweet", "default_training_set",
+        "extract_features",
+    ),
+    "evaluation": (
+        "DetectionOutcome", "LocalizationExperiment", "LocalizationOutcome",
+        "default_estimators", "make_korean_scenarios", "mean_error_by_scheme",
+        "render_localization_table",
+    ),
+    "injector": ("EventTweetInjector",),
+    "kalman": ("KalmanLocalizer", "Measurement"),
+    "online": ("OnlineAlarm", "OnlineEventDetector", "OnlineStats"),
+    "particle": ("ParticleLocalizer",),
+    "scenario": ("EventScenario", "WitnessGenerator", "WitnessReport"),
+    "trends": ("Trend", "TrendDetector"),
+    "twitris": ("SliceKey", "SliceSummary", "TwitrisSummarizer"),
+    "weighted": (
+        "MIN_PROFILE_WEIGHT", "MedianLocalizer", "WeightedCentroidLocalizer",
+        "build_measurements",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.correlation import StudyResult
+from repro.analysis.result import StudyResult
 from repro.analysis.reliability import ReliabilityTable, WeightingScheme
 from repro.errors import InsufficientDataError
 from repro.events.burst import BurstDetector, fit_exponential_decay

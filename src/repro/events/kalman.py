@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import InsufficientDataError
 from repro.geo.point import GeoPoint
 
@@ -73,8 +71,9 @@ class KalmanLocalizer:
         """
         if not measurements:
             raise InsufficientDataError("no measurements to localise from")
-        ordered = sorted(measurements, key=lambda m: m.timestamp_ms)
+        import numpy as np  # only the filters need it; keep it off import
 
+        ordered = sorted(measurements, key=lambda m: m.timestamp_ms)
         state = np.array([ordered[0].point.lat, ordered[0].point.lon])
         covariance = np.eye(2) * self._prior_var
         identity = np.eye(2)

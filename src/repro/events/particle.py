@@ -9,11 +9,14 @@ resampling and a little roughening noise to fight sample impoverishment.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import InsufficientDataError
 from repro.events.kalman import Measurement
 from repro.geo.point import GeoPoint
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class ParticleLocalizer:
@@ -53,6 +56,8 @@ class ParticleLocalizer:
         """
         if not measurements:
             raise InsufficientDataError("no measurements to localise from")
+        import numpy as np  # only the filters need it; keep it off import
+
         ordered = sorted(measurements, key=lambda m: m.timestamp_ms)
         rng = np.random.default_rng(self._seed)
 
@@ -109,6 +114,8 @@ class ParticleLocalizer:
     def _systematic_resample(
         particles: np.ndarray, weights: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
+        import numpy as np
+
         count = len(weights)
         positions = (rng.random() + np.arange(count)) / count
         cumulative = np.cumsum(weights)

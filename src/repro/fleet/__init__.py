@@ -15,42 +15,22 @@ boundary (HTTP over loopback) is the same one a real multi-host fleet
 would cross.
 """
 
-from repro.fleet.client import PooledReplicaClient
-from repro.fleet.controller import FleetController
-from repro.fleet.front import ROUTE_POLICIES, FleetFront
-from repro.fleet.publisher import PublishReport, SnapshotPublisher
-from repro.fleet.replica import ReplicaHandle, ReplicaSupervisor
-from repro.fleet.ring import HashRing
-from repro.fleet.rollout import (
-    VERDICT_ERROR_RATE,
-    VERDICT_INSUFFICIENT,
-    VERDICT_LATENCY,
-    VERDICT_PASS,
-    RolloutConfig,
-    RolloutState,
-    ShadowMirror,
-    ShadowWindow,
-)
-from repro.fleet.targets import ReplicaSet, ReplicaTarget
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PooledReplicaClient",
-    "FleetController",
-    "FleetFront",
-    "ROUTE_POLICIES",
-    "PublishReport",
-    "SnapshotPublisher",
-    "ReplicaHandle",
-    "ReplicaSupervisor",
-    "HashRing",
-    "RolloutConfig",
-    "RolloutState",
-    "ShadowMirror",
-    "ShadowWindow",
-    "VERDICT_ERROR_RATE",
-    "VERDICT_INSUFFICIENT",
-    "VERDICT_LATENCY",
-    "VERDICT_PASS",
-    "ReplicaSet",
-    "ReplicaTarget",
-]
+_EXPORTS = {
+    "client": ("PooledReplicaClient",),
+    "controller": ("FleetController",),
+    "front": ("ROUTE_POLICIES", "FleetFront"),
+    "publisher": ("PublishReport", "SnapshotPublisher"),
+    "replica": ("ReplicaHandle", "ReplicaSupervisor"),
+    "ring": ("HashRing",),
+    "rollout": (
+        "VERDICT_ERROR_RATE", "VERDICT_INSUFFICIENT", "VERDICT_LATENCY", "VERDICT_PASS",
+        "RolloutConfig", "RolloutState", "ShadowMirror", "ShadowWindow",
+    ),
+    "targets": ("ReplicaSet", "ReplicaTarget"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,62 +12,23 @@ Public surface of :mod:`repro.geo`:
 * :class:`TextGeocoder` (free text -> district) and its status codes
 """
 
-from repro.geo.forward import (
-    ForwardGeocodeResult,
-    GeocodeStatus,
-    TextGeocoder,
-)
-from repro.geo.gazetteer import (
-    BUILTIN_GRID_DEG,
-    Gazetteer,
-    SpatialGridCore,
-    builtin_districts,
-)
-from repro.geo.mentions import PlaceMention, PlaceMentionExtractor
-from repro.geo.polygon import BoundaryPolygon
-from repro.geo.point import (
-    EARTH_RADIUS_KM,
-    GeoPoint,
-    centroid,
-    destination_point,
-    geographic_median,
-    haversine_km,
-    initial_bearing_deg,
-    midpoint,
-)
-from repro.geo.region import (
-    AdminPath,
-    BoundingBox,
-    District,
-    DistrictKind,
-    RegionLevel,
-)
-from repro.geo.reverse import ReverseGeocodeResult, ReverseGeocoder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUILTIN_GRID_DEG",
-    "EARTH_RADIUS_KM",
-    "AdminPath",
-    "BoundaryPolygon",
-    "BoundingBox",
-    "District",
-    "DistrictKind",
-    "ForwardGeocodeResult",
-    "Gazetteer",
-    "GeocodeStatus",
-    "GeoPoint",
-    "PlaceMention",
-    "PlaceMentionExtractor",
-    "RegionLevel",
-    "ReverseGeocodeResult",
-    "ReverseGeocoder",
-    "SpatialGridCore",
-    "TextGeocoder",
-    "builtin_districts",
-    "centroid",
-    "destination_point",
-    "geographic_median",
-    "haversine_km",
-    "initial_bearing_deg",
-    "midpoint",
-]
+_EXPORTS = {
+    "forward": ("ForwardGeocodeResult", "GeocodeStatus", "TextGeocoder"),
+    "gazetteer": (
+        "BUILTIN_GRID_DEG", "Gazetteer", "SpatialGridCore", "builtin_districts",
+    ),
+    "mentions": ("PlaceMention", "PlaceMentionExtractor"),
+    "polygon": ("BoundaryPolygon",),
+    "point": (
+        "EARTH_RADIUS_KM", "GeoPoint", "centroid", "destination_point",
+        "geographic_median", "haversine_km", "initial_bearing_deg", "midpoint",
+    ),
+    "region": ("AdminPath", "BoundingBox", "District", "DistrictKind", "RegionLevel"),
+    "reverse": ("ReverseGeocodeResult", "ReverseGeocoder"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

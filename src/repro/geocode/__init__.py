@@ -13,35 +13,19 @@ Public surface of :mod:`repro.geocode`:
   :func:`resolve_with_retries` — the shared lookup policy
 """
 
-from repro.geocode.backend import DirectBackend, GeocodeBackend, PlaceFinderBackend
-from repro.geocode.cellstore import Cell, CellStore
-from repro.geocode.policy import FailurePlan, RetryPolicy, resolve_with_retries
-from repro.geocode.service import (
-    CELL_CACHE_FILENAME,
-    DEFAULT_L1_CAPACITY,
-    DEFAULT_QUANTUM_DEG,
-    GeocodeService,
-    TierStats,
-    cell_cache_path,
-    shard_segment_path,
-    simulated_latency,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CELL_CACHE_FILENAME",
-    "Cell",
-    "CellStore",
-    "DEFAULT_L1_CAPACITY",
-    "DEFAULT_QUANTUM_DEG",
-    "DirectBackend",
-    "FailurePlan",
-    "GeocodeBackend",
-    "GeocodeService",
-    "PlaceFinderBackend",
-    "RetryPolicy",
-    "TierStats",
-    "cell_cache_path",
-    "resolve_with_retries",
-    "shard_segment_path",
-    "simulated_latency",
-]
+_EXPORTS = {
+    "backend": ("DirectBackend", "GeocodeBackend", "PlaceFinderBackend"),
+    "cellstore": ("Cell", "CellStore"),
+    "policy": ("FailurePlan", "RetryPolicy", "resolve_with_retries"),
+    "service": (
+        "CELL_CACHE_FILENAME", "DEFAULT_L1_CAPACITY", "DEFAULT_QUANTUM_DEG",
+        "GeocodeService", "TierStats", "cell_cache_path", "shard_segment_path",
+        "simulated_latency",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

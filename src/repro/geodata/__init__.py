@@ -7,42 +7,22 @@ an in-memory :class:`~repro.geo.gazetteer.Gazetteer`, and
 :func:`dataset_gazetteer` builds the builtin catalogue each dataset uses.
 """
 
-from repro.geodata.artifact import (
-    GAZETTEER_FORMAT,
-    GAZETTEER_FORMAT_VERSION,
-    gazetteer_artifact_info,
-    open_gazetteer_artifact,
-    read_gazetteer_artifact,
-    write_gazetteer_artifact,
-)
-from repro.geodata.prepare import (
-    AdminRemapHook,
-    admin_remaps,
-    apply_admin_remaps,
-    builtin_catalogue,
-    korea_metro_gu_split,
-    load_districts_jsonl,
-    load_polygons_json,
-    prepare_artifact,
-    register_admin_remap,
-)
-from repro.geodata.registry import dataset_gazetteer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GAZETTEER_FORMAT",
-    "GAZETTEER_FORMAT_VERSION",
-    "AdminRemapHook",
-    "admin_remaps",
-    "apply_admin_remaps",
-    "builtin_catalogue",
-    "dataset_gazetteer",
-    "gazetteer_artifact_info",
-    "korea_metro_gu_split",
-    "load_districts_jsonl",
-    "load_polygons_json",
-    "open_gazetteer_artifact",
-    "prepare_artifact",
-    "read_gazetteer_artifact",
-    "register_admin_remap",
-    "write_gazetteer_artifact",
-]
+_EXPORTS = {
+    "artifact": (
+        "GAZETTEER_FORMAT", "GAZETTEER_FORMAT_VERSION", "gazetteer_artifact_info",
+        "open_gazetteer_artifact", "read_gazetteer_artifact",
+        "write_gazetteer_artifact",
+    ),
+    "prepare": (
+        "AdminRemapHook", "admin_remaps", "apply_admin_remaps", "builtin_catalogue",
+        "korea_metro_gu_split", "load_districts_jsonl", "load_polygons_json",
+        "prepare_artifact", "register_admin_remap",
+    ),
+    "registry": ("dataset_gazetteer",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

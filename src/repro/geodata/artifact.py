@@ -36,13 +36,13 @@ from array import array
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.analysis.interner import StringInterner
 from repro.errors import ConfigurationError, GeoError, StorageError
 from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import District, DistrictKind
 from repro.geodata.buffer import BufferReader, BufferWriter
+from repro.text.interner import StringInterner
 
 #: Format marker stored in the artifact's meta section.
 GAZETTEER_FORMAT = "RGAZ1"

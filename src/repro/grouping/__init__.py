@@ -6,34 +6,19 @@ matched-string detection -> :class:`TopKGroup` classification ->
 :func:`compute_group_statistics` (the Figs. 6-7 aggregates).
 """
 
-from repro.grouping.incremental import IncrementalGrouper
-from repro.grouping.merge import (
-    MergedString,
-    TieBreak,
-    matched_rank,
-    merge_strings,
-    total_tweets,
-    tweet_location_count,
-)
-from repro.grouping.stats import GroupRow, GroupStatistics, compute_group_statistics
-from repro.grouping.strings import DELIMITER, LocationString
-from repro.grouping.topk import TopKGroup, UserGrouping, classify_rows, group_users
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DELIMITER",
-    "GroupRow",
-    "GroupStatistics",
-    "IncrementalGrouper",
-    "LocationString",
-    "MergedString",
-    "TieBreak",
-    "TopKGroup",
-    "UserGrouping",
-    "classify_rows",
-    "compute_group_statistics",
-    "group_users",
-    "matched_rank",
-    "merge_strings",
-    "total_tweets",
-    "tweet_location_count",
-]
+_EXPORTS = {
+    "incremental": ("IncrementalGrouper",),
+    "merge": (
+        "MergedString", "TieBreak", "matched_rank", "merge_strings", "total_tweets",
+        "tweet_location_count",
+    ),
+    "stats": ("GroupRow", "GroupStatistics", "compute_group_statistics"),
+    "strings": ("DELIMITER", "LocationString"),
+    "topk": ("TopKGroup", "UserGrouping", "classify_rows", "group_users"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

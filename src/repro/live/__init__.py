@@ -36,11 +36,13 @@ Layer map:
   :class:`LiveStudyPipeline`, the cadence loop and swap publisher.
 """
 
-from repro.live.builder import DeltaSnapshotBuilder
-from repro.live.pipeline import LiveConfig, LiveStudyPipeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeltaSnapshotBuilder",
-    "LiveConfig",
-    "LiveStudyPipeline",
-]
+_EXPORTS = {
+    "builder": ("DeltaSnapshotBuilder",),
+    "pipeline": ("LiveConfig", "LiveStudyPipeline"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

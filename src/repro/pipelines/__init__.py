@@ -7,26 +7,18 @@ Public surface of :mod:`repro.pipelines`:
 * :func:`get_context` — shared, memoised experiment inputs
 """
 
-from repro.pipelines.experiments import (
-    EXPERIMENTS,
-    ExperimentContext,
-    get_context,
-    run_experiment,
-)
-from repro.pipelines.study import (
-    KoreanStudyOutput,
-    LadyGagaStudyOutput,
-    run_korean_study,
-    run_ladygaga_study,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentContext",
-    "KoreanStudyOutput",
-    "LadyGagaStudyOutput",
-    "get_context",
-    "run_experiment",
-    "run_korean_study",
-    "run_ladygaga_study",
-]
+_EXPORTS = {
+    "experiments": (
+        "EXPERIMENTS", "ExperimentContext", "get_context", "run_experiment",
+    ),
+    "study": (
+        "KoreanStudyOutput", "LadyGagaStudyOutput", "run_korean_study",
+        "run_ladygaga_study",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.correlation import StudyResult
+from repro.analysis.result import StudyResult
 from repro.analysis.reliability import ReliabilityTable
 from repro.analysis.report import (
     render_comparison,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analysis.correlation import StudyResult
+from repro.analysis.result import StudyResult
 from repro.datasets.korean import KoreanDataset, KoreanDatasetConfig, build_korean_dataset
 from repro.datasets.ladygaga import (
     LadyGagaDataset,

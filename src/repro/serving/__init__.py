@@ -31,57 +31,26 @@ Layer map:
   :func:`start_background_server`.
 """
 
-from repro.serving.aio import (
-    AsyncServerThread,
-    AsyncStudyServer,
-    ThreadedServerHandle,
-    start_background_server,
-)
-from repro.serving.batcher import FlightStats, SingleFlight
-from repro.serving.handlers import (
-    handle_healthz,
-    handle_lookup,
-    handle_overview,
-    handle_region,
-    handle_regions,
-    handle_reverse,
-    handle_stats,
-)
-from repro.serving.http import (
-    ServingApp,
-    StudyServer,
-    encode_body,
-    install_reload_signal,
-    render_serving_summary,
-)
-from repro.serving.ratelimit import TokenBucket
-from repro.serving.state import (
-    ServingSnapshot,
-    SnapshotStore,
-    load_snapshot,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncServerThread",
-    "AsyncStudyServer",
-    "FlightStats",
-    "ServingApp",
-    "ServingSnapshot",
-    "SingleFlight",
-    "SnapshotStore",
-    "StudyServer",
-    "ThreadedServerHandle",
-    "TokenBucket",
-    "encode_body",
-    "handle_healthz",
-    "handle_lookup",
-    "handle_overview",
-    "handle_region",
-    "handle_regions",
-    "handle_reverse",
-    "handle_stats",
-    "install_reload_signal",
-    "load_snapshot",
-    "render_serving_summary",
-    "start_background_server",
-]
+_EXPORTS = {
+    "aio": (
+        "AsyncServerThread", "AsyncStudyServer", "ThreadedServerHandle",
+        "start_background_server",
+    ),
+    "batcher": ("FlightStats", "SingleFlight"),
+    "handlers": (
+        "handle_healthz", "handle_lookup", "handle_overview", "handle_region",
+        "handle_regions", "handle_reverse", "handle_stats",
+    ),
+    "http": (
+        "ServingApp", "StudyServer", "encode_body", "install_reload_signal",
+        "render_serving_summary",
+    ),
+    "ratelimit": ("TokenBucket",),
+    "state": ("ServingSnapshot", "SnapshotStore", "load_snapshot"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

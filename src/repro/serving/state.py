@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.analysis.correlation import StudyResult
 from repro.analysis.regional import RegionalRow, regional_breakdown
 from repro.analysis.reliability import ReliabilityTable
+from repro.analysis.result import StudyResult
 from repro.analysis.serialization import load_study, study_digest
 from repro.errors import ReproError
 from repro.geo.gazetteer import Gazetteer

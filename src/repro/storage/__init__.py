@@ -7,8 +7,14 @@ Public surface of :mod:`repro.storage`:
 * :class:`TweetQuery` / :class:`TimeRange` — conjunctive query model
 """
 
-from repro.storage.query import TimeRange, TweetQuery
-from repro.storage.tweetstore import TweetStore
-from repro.storage.userstore import UserStore
+from repro._lazy import lazy_exports
 
-__all__ = ["TimeRange", "TweetQuery", "TweetStore", "UserStore"]
+_EXPORTS = {
+    "query": ("TimeRange", "TweetQuery"),
+    "tweetstore": ("TweetStore",),
+    "userstore": ("UserStore",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,29 +16,16 @@ wires it all together under an engine
 drop/checkpoint metrics).
 """
 
-from repro.streaming.checkpoint import Checkpoint, CheckpointLog
-from repro.streaming.consumer import StreamConfig, StreamConsumer, StreamPump
-from repro.streaming.queue import (
-    BackpressurePolicy,
-    BoundedTweetQueue,
-    PutOutcome,
-    QueueStats,
-)
-from repro.streaming.snapshot import StreamSnapshot, state_digest
-from repro.streaming.source import FirehoseSource, FirehoseStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackpressurePolicy",
-    "BoundedTweetQueue",
-    "Checkpoint",
-    "CheckpointLog",
-    "FirehoseSource",
-    "FirehoseStats",
-    "PutOutcome",
-    "QueueStats",
-    "StreamConfig",
-    "StreamConsumer",
-    "StreamPump",
-    "StreamSnapshot",
-    "state_digest",
-]
+_EXPORTS = {
+    "checkpoint": ("Checkpoint", "CheckpointLog"),
+    "consumer": ("StreamConfig", "StreamConsumer", "StreamPump"),
+    "queue": ("BackpressurePolicy", "BoundedTweetQueue", "PutOutcome", "QueueStats"),
+    "snapshot": ("StreamSnapshot", "state_digest"),
+    "source": ("FirehoseSource", "FirehoseStats"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.analysis.correlation import StudyResult
+from repro.analysis.result import StudyResult
 from repro.engine.context import RunContext
 from repro.grouping.incremental import IncrementalGrouper
 

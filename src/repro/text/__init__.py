@@ -7,56 +7,28 @@ Public surface of :mod:`repro.text`:
 * :func:`is_vague` / :func:`is_country_only` — the paper's profile filters
 * :func:`parse_profile_location` — structural profile-field parsing
 * :class:`TfIdfCorpus` — corpus statistics behind Twitris-style summaries
+* :class:`StringInterner` — stable string → dense-id table
 """
 
-from repro.text.normalize import (
-    collapse_spaces,
-    hangul_ratio,
-    is_hangul,
-    normalize_text,
-    strip_punctuation,
-)
-from repro.text.profile_parser import (
-    ParsedProfileLocation,
-    ProfileShape,
-    parse_profile_location,
-)
-from repro.text.tfidf import ScoredTerm, TfIdfCorpus, cosine_similarity
-from repro.text.tokenize import (
-    STOPWORDS,
-    TweetTokens,
-    ngrams,
-    tokenize,
-    tokenize_tweet,
-)
-from repro.text.vague import (
-    COUNTRY_PHRASES,
-    VAGUE_PHRASES,
-    is_country_only,
-    is_informative,
-    is_vague,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COUNTRY_PHRASES",
-    "STOPWORDS",
-    "VAGUE_PHRASES",
-    "ParsedProfileLocation",
-    "ProfileShape",
-    "ScoredTerm",
-    "TfIdfCorpus",
-    "TweetTokens",
-    "collapse_spaces",
-    "cosine_similarity",
-    "hangul_ratio",
-    "is_country_only",
-    "is_hangul",
-    "is_informative",
-    "is_vague",
-    "ngrams",
-    "normalize_text",
-    "parse_profile_location",
-    "strip_punctuation",
-    "tokenize",
-    "tokenize_tweet",
-]
+_EXPORTS = {
+    "interner": ("StringInterner",),
+    "normalize": (
+        "collapse_spaces", "hangul_ratio", "is_hangul", "normalize_text",
+        "strip_punctuation",
+    ),
+    "profile_parser": (
+        "ParsedProfileLocation", "ProfileShape", "parse_profile_location",
+    ),
+    "tfidf": ("ScoredTerm", "TfIdfCorpus", "cosine_similarity"),
+    "tokenize": ("STOPWORDS", "TweetTokens", "ngrams", "tokenize", "tokenize_tweet"),
+    "vague": (
+        "COUNTRY_PHRASES", "VAGUE_PHRASES", "is_country_only", "is_informative",
+        "is_vague",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,80 +11,29 @@ Public surface of :mod:`repro.twitter`:
 * :class:`FollowerCrawler` / :class:`CrawlConfig` — the collection crawler
 """
 
-from repro.twitter.api import (
-    FOLLOWER_PAGE_SIZE,
-    TIMELINE_PAGE_SIZE,
-    USER_LOOKUP_BATCH,
-    ApiUsage,
-    FollowerPage,
-    RateLimitPolicy,
-    RestApi,
-    SearchPage,
-    StreamingApi,
-    StreamStats,
-    VirtualClock,
-)
-from repro.twitter.crawler import CrawlConfig, CrawlResult, FollowerCrawler
-from repro.twitter.idgen import (
-    SNOWFLAKE_EPOCH_MS,
-    SnowflakeGenerator,
-    snowflake_timestamp_ms,
-)
-from repro.twitter.mobility import MobilityModel, MobilityProfile
-from repro.twitter.models import (
-    DatasetSummary,
-    FollowerEdge,
-    GeotaggedObservation,
-    MobilityClass,
-    ProfileStyle,
-    Tweet,
-    TwitterUser,
-)
-from repro.twitter.population import (
-    DEFAULT_MOBILITY_MIX,
-    DEFAULT_PROFILE_STYLE_MIX,
-    PopulationConfig,
-    PopulationGenerator,
-    ProfileTextRenderer,
-    SyntheticUser,
-)
-from repro.twitter.social_graph import FollowerGraph, GraphConfig
-from repro.twitter.tweetgen import CollectionWindow, TweetGenerator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_MOBILITY_MIX",
-    "DEFAULT_PROFILE_STYLE_MIX",
-    "FOLLOWER_PAGE_SIZE",
-    "SNOWFLAKE_EPOCH_MS",
-    "TIMELINE_PAGE_SIZE",
-    "USER_LOOKUP_BATCH",
-    "ApiUsage",
-    "CollectionWindow",
-    "CrawlConfig",
-    "CrawlResult",
-    "DatasetSummary",
-    "FollowerCrawler",
-    "FollowerEdge",
-    "FollowerGraph",
-    "FollowerPage",
-    "GeotaggedObservation",
-    "GraphConfig",
-    "MobilityClass",
-    "MobilityModel",
-    "MobilityProfile",
-    "PopulationConfig",
-    "PopulationGenerator",
-    "ProfileStyle",
-    "ProfileTextRenderer",
-    "RateLimitPolicy",
-    "RestApi",
-    "SearchPage",
-    "SnowflakeGenerator",
-    "StreamStats",
-    "StreamingApi",
-    "SyntheticUser",
-    "Tweet",
-    "TwitterUser",
-    "VirtualClock",
-    "snowflake_timestamp_ms",
-]
+_EXPORTS = {
+    "api": (
+        "FOLLOWER_PAGE_SIZE", "TIMELINE_PAGE_SIZE", "USER_LOOKUP_BATCH", "ApiUsage",
+        "FollowerPage", "RateLimitPolicy", "RestApi", "SearchPage", "StreamingApi",
+        "StreamStats", "VirtualClock",
+    ),
+    "crawler": ("CrawlConfig", "CrawlResult", "FollowerCrawler"),
+    "idgen": ("SNOWFLAKE_EPOCH_MS", "SnowflakeGenerator", "snowflake_timestamp_ms"),
+    "mobility": ("MobilityModel", "MobilityProfile"),
+    "models": (
+        "DatasetSummary", "FollowerEdge", "GeotaggedObservation", "MobilityClass",
+        "ProfileStyle", "Tweet", "TwitterUser",
+    ),
+    "population": (
+        "DEFAULT_MOBILITY_MIX", "DEFAULT_PROFILE_STYLE_MIX", "PopulationConfig",
+        "PopulationGenerator", "ProfileTextRenderer", "SyntheticUser",
+    ),
+    "social_graph": ("FollowerGraph", "GraphConfig"),
+    "tweetgen": ("CollectionWindow", "TweetGenerator"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,26 +6,13 @@ same XML document shape, a client with cache/quota/latency accounting, and
 deterministic transient-failure injection for exercising retry paths.
 """
 
-from repro.yahooapi.client import (
-    ERROR_NO_RESULT,
-    ClientStats,
-    FailurePlan,
-    PlaceFinderClient,
-)
-from repro.yahooapi.xml import (
-    PlaceFinderResponse,
-    parse_response,
-    render_error,
-    render_success,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ERROR_NO_RESULT",
-    "ClientStats",
-    "FailurePlan",
-    "PlaceFinderClient",
-    "PlaceFinderResponse",
-    "parse_response",
-    "render_error",
-    "render_success",
-]
+_EXPORTS = {
+    "client": ("ERROR_NO_RESULT", "ClientStats", "FailurePlan", "PlaceFinderClient"),
+    "xml": ("PlaceFinderResponse", "parse_response", "render_error", "render_success"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

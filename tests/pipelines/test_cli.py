@@ -22,6 +22,29 @@ class TestParser:
         assert args.dataset == "korean"
         assert args.seed == 7
 
+    def test_static_choices_match_their_registries(self):
+        """The parser names experiment ids and backpressure policies
+        without importing the registries; the two must stay equal."""
+        from repro.cli import BACKPRESSURE_POLICIES, EXPERIMENT_IDS
+        from repro.pipelines.experiments import EXPERIMENTS
+        from repro.streaming.queue import BackpressurePolicy
+
+        assert EXPERIMENT_IDS == tuple(sorted(EXPERIMENTS))
+        assert BACKPRESSURE_POLICIES == tuple(p.value for p in BackpressurePolicy)
+        assert BACKPRESSURE_POLICIES[0] == BackpressurePolicy.BLOCK.value
+
+    @pytest.mark.parametrize("command", [
+        [], ["study"], ["engine"], ["engine", "trace"], ["report"], ["experiment"],
+        ["dataset"], ["stream"], ["serve"], ["live"], ["fleet"], ["fleet", "run"],
+        ["fleet", "publish"], ["geodata"], ["geodata", "prepare"],
+        ["geodata", "info"], ["localize"],
+    ])
+    def test_every_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        assert excinfo.value.code == 0
+        assert "usage: repro" in capsys.readouterr().out
+
 
 class TestVersion:
     def test_version_flag_prints_and_exits_zero(self, capsys):
@@ -137,7 +160,7 @@ class TestStudy:
         def boom(*args, **kwargs):
             raise ShardExecutionError(2, 4, (6, 9), ValueError("bad row"))
 
-        monkeypatch.setattr("repro.cli.run_study", boom)
+        monkeypatch.setattr("repro.analysis.correlation.run_study", boom)
         code = main(["study", "--dataset", "korean", *FAST])
         assert code == 4
         err = capsys.readouterr().err

@@ -35,6 +35,7 @@ def test_all_names_resolve(package_name):
     assert hasattr(package, "__all__")
     for name in package.__all__:
         assert hasattr(package, name), f"{package_name}.{name} missing"
+    assert set(package.__all__) <= set(dir(package))
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
