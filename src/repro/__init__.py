@@ -21,7 +21,7 @@ TF-IDF), :mod:`repro.grouping` (the paper's method), :mod:`repro.analysis`
 (study + reliability weights), :mod:`repro.events` (Toretter/Twitris and
 weighted localisation), :mod:`repro.datasets` and :mod:`repro.pipelines`
 (builders, funnel, experiment registry), :mod:`repro.engine` (the staged
-execution substrate: stages, run context, metrics, sharding), and
+execution substrate: stages, run context, metrics), and
 :mod:`repro.streaming` (live firehose ingestion with backpressure and
 checkpoint/resume), and :mod:`repro.serving` (online query API over
 saved studies: versioned hot-swappable snapshots, single-flight geocode
@@ -41,7 +41,6 @@ _EXPORTS = {
     "engine.context": ("RunContext",),
     "engine.engine": ("EngineConfig", "StudyEngine"),
     "engine.metrics": ("MetricsRegistry",),
-    "engine.sharding": ("ShardedExecutor",),
     "errors": ("ReproError",),
     "grouping.stats": ("GroupStatistics", "compute_group_statistics"),
     "grouping.strings": ("LocationString",),

@@ -5,7 +5,7 @@ staged-engine refactor it is a thin wrapper over
 :class:`~repro.engine.engine.StudyEngine`, which runs the same sequence —
 forward-geocode profiles, reverse-geocode GPS tweets through the simulated
 Yahoo client, the text-based grouping method, the Figs. 6-7 aggregates —
-as composable stages with shared metrics and optional sharding.
+as composable stages in one process with shared metrics.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ def run_study(
 ) -> StudyResult:
     """Run the complete correlation study over a stored corpus.
 
-    Thin wrapper over :class:`~repro.engine.engine.StudyEngine` — serial
-    and single-sharded by default, result-identical to the pre-engine
-    monolith (property-tested).
+    Thin wrapper over :class:`~repro.engine.engine.StudyEngine`,
+    result-identical to the pre-engine monolith (property-tested).
 
     Args:
         users: Crawled / streamed accounts.
@@ -49,8 +48,9 @@ def run_study(
         min_gps_tweets: Study-entry threshold (paper: 1); overrides the
             ``engine_config`` field when both are given.
         placefinder: Optionally inject a pre-configured client (custom
-            quota, failure plan); forces serial reverse geocoding.
-        engine_config: Sharding/backend/tie-break configuration.
+            quota, failure plan); reverse geocoding then goes through it
+            tweet by tweet.
+        engine_config: Tie-break and geocode-cache configuration.
         context: Optionally supply the run context to collect the run's
             metrics snapshot and stage spans.
 
@@ -59,10 +59,8 @@ def run_study(
     """
     from dataclasses import replace
 
-    from repro.engine.engine import StudyEngine, default_engine_config
+    from repro.engine.engine import EngineConfig, StudyEngine
 
-    config = replace(
-        engine_config or default_engine_config(), min_gps_tweets=min_gps_tweets
-    )
+    config = replace(engine_config or EngineConfig(), min_gps_tweets=min_gps_tweets)
     engine = StudyEngine(gazetteer, config=config, placefinder=placefinder)
     return engine.run(users, tweets, dataset_name=dataset_name, context=context)

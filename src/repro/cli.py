@@ -13,8 +13,7 @@ Commands:
 * ``fleet``       — multi-replica serving with health-gated snapshot rollout
 * ``geodata``     — compile / inspect gazetteer artifacts (RGAZ1)
 
-Everything is deterministic given ``--seed``; ``--shards``/``--backend``
-change only how the study executes, never its result.
+Everything is deterministic given ``--seed``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError, ShardExecutionError, StorageError
+from repro.errors import ReproError, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.serving.http import ServingApp
@@ -68,7 +67,7 @@ def _build_dataset(args: argparse.Namespace):
 
 
 def _run_engine_study(args: argparse.Namespace):
-    """Build the dataset and run the study with the CLI's engine options."""
+    """Build the dataset and run the study with the CLI's cache option."""
     from repro.analysis.correlation import run_study
     from repro.engine.context import RunContext
     from repro.engine.engine import EngineConfig
@@ -84,11 +83,7 @@ def _run_engine_study(args: argparse.Namespace):
         dataset.tweets,
         dataset.gazetteer,
         dataset_name=args.dataset,
-        engine_config=EngineConfig(
-            shards=getattr(args, "shards", 1),
-            backend=getattr(args, "backend", "serial"),
-            cache_dir=getattr(args, "cache_dir", None) or None,
-        ),
+        engine_config=EngineConfig(cache_dir=args.cache_dir or None),
         context=context,
     )
     return dataset, study, context
@@ -217,13 +212,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 #: :class:`ReproError`) so operators and scripts can tell "fix the
 #: state/artifact" apart from every other failure.
 EXIT_RESUME_STATE = 3
-
-#: Exit code for a shard worker failing with an application exception
-#: under ``--backend process`` (:class:`~repro.errors.ShardExecutionError`
-#: names the shard and item range) — distinct from 1 so scripts can tell
-#: "a worker hit a bug on this data" apart from ordinary bad input.
-EXIT_SHARD_FAILURE = 4
-
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.analysis.incremental import IncrementalStudyAccumulator
@@ -720,17 +708,6 @@ def _add_build_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7, help="master seed")
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shards", type=int, default=1,
-                        help="shard count for the engine's hot-path stages; "
-                        "with --backend process the worker pool is capped at "
-                        "the machine's CPU count, so more shards than cores "
-                        "queue on the same workers")
-    parser.add_argument("--backend", choices=("serial", "process"),
-                        default="serial", help="shard execution backend")
-    _add_cache_option(parser)
-
-
 def _add_cache_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default="",
                         help="directory for the persistent geocode cell cache; "
@@ -744,8 +721,8 @@ class _OneLineArgumentParser(argparse.ArgumentParser):
     for scripted callers (CI smoke steps, shell pipelines) a single line
     naming the problem and pointing at ``--help`` is easier to surface.
     The exit code stays argparse's conventional 2, so an unknown
-    subcommand is distinguishable from a study failure (1), a bad resume
-    state (3), and a shard failure (4).
+    subcommand is distinguishable from a study failure (1) and a bad
+    resume state (3); DESIGN.md lists every exit code.
     """
 
     def error(self, message: str):
@@ -801,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--metrics", action="store_true",
                        help="print the engine metrics snapshot and stage spans")
     _add_build_options(study)
-    _add_engine_options(study)
+    _add_cache_option(study)
     study.set_defaults(func=_cmd_study)
 
     engine = subparsers.add_parser(
@@ -813,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--dataset", choices=("korean", "ladygaga"), default="korean")
     _add_build_options(trace)
-    _add_engine_options(trace)
+    _add_cache_option(trace)
     trace.set_defaults(func=_cmd_engine_trace)
 
     report = subparsers.add_parser(
@@ -1051,9 +1028,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ShardExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHARD_FAILURE
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

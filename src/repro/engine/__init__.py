@@ -1,4 +1,4 @@
-"""Staged execution engine: composable stages, run context, sharding.
+"""Staged execution engine: composable stages, run context, metrics.
 
 Public surface of :mod:`repro.engine`:
 
@@ -7,7 +7,6 @@ Public surface of :mod:`repro.engine`:
   per-run context with structured stage spans
 * :class:`MetricsRegistry` — unified counters/timers/gauges + sources,
   plus :class:`LatencyHistogram` windows with p50/p95/p99 summaries
-* :class:`ShardedExecutor` / :func:`partition` — deterministic sharding
 * The concrete stages (``RefineStage`` … ``StatisticsStage``) and the
   :class:`Stage` protocol for swapping in custom ones
 """
@@ -17,14 +16,9 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "context": ("RunContext", "StageSpan", "render_trace"),
     "engine": (
-        "EngineConfig", "EngineRun", "StudyEngine", "default_engine_config",
-        "default_stages",
+        "EngineConfig", "EngineRun", "StudyEngine", "default_stages",
     ),
     "metrics": ("LatencyHistogram", "MetricsRegistry"),
-    "sharding": (
-        "BACKENDS", "ShardedExecutor", "ShardOutcome", "ShardRunReport",
-        "WorkerFaultPlan", "partition",
-    ),
     "stages": (
         "GroupingStage", "ProfileGeocodeStage", "RefineStage", "ReverseGeocodeStage",
         "Stage", "StatisticsStage", "StudyState",

@@ -92,37 +92,6 @@ class RunContext:
             span.ended_s = time.perf_counter()
             self.metrics.add_time(f"stage.{name}.s", span.duration_s)
 
-    def record_span(
-        self,
-        name: str,
-        duration_s: float,
-        *,
-        items_in: int = 0,
-        items_out: int = 0,
-        errors: int = 0,
-    ) -> StageSpan:
-        """Record a span whose wall time was measured elsewhere.
-
-        Shard workers time themselves inside their own processes; the
-        parent replays those measurements here so a sharded run's trace
-        carries one span per shard (``reverse_geocode.shard3``, …) next
-        to the enclosing stage span.  The span is anchored to end "now"
-        and its duration is mirrored into ``stage.<name>.s`` exactly like
-        a :meth:`stage` block's.
-        """
-        end = time.perf_counter()
-        span = StageSpan(
-            stage=name,
-            started_s=end - duration_s,
-            ended_s=end,
-            items_in=items_in,
-            items_out=items_out,
-            errors=errors,
-        )
-        self.spans.append(span)
-        self.metrics.add_time(f"stage.{name}.s", duration_s)
-        return span
-
     def trace(self) -> dict[str, object]:
         """The full run trace: identity, metrics snapshot, span records."""
         return {
@@ -166,14 +135,6 @@ def render_trace(context: RunContext) -> str:
             f"{items_out:>9} {errors:>7}"
         )
     snapshot = context.metrics.snapshot()
-    if "sharding.shards" in snapshot:
-        lines.append("")
-        lines.append(
-            f"sharding: {int(snapshot['sharding.shards'])} shards over "
-            f"{int(snapshot['sharding.max_workers'])} worker(s), "
-            f"worker_retries={int(snapshot.get('sharding.worker_retries', 0))} "
-            f"serial_fallbacks={int(snapshot.get('sharding.serial_fallbacks', 0))}"
-        )
     retries = snapshot.get("geocode.retries")
     retry_exhausted = snapshot.get("geocode.retry_exhausted")
     if retries is not None or retry_exhausted is not None:

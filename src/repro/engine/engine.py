@@ -3,21 +3,18 @@
 ``StudyEngine.run`` replaces the seed ``run_study`` monolith: it threads
 one :class:`~repro.engine.context.RunContext` through the five default
 stages (refine → profile geocode → reverse geocode → grouping →
-statistics), shards the hot path according to :class:`EngineConfig`, and
-assembles the same :class:`~repro.analysis.correlation.StudyResult` the
-monolith produced — property-tested byte-identical for every shard count
-and backend.  ``run_study`` / ``run_korean_study`` / ``run_ladygaga_study``
-are now thin wrappers over this class.
+statistics) in one process, and assembles the same
+:class:`~repro.analysis.correlation.StudyResult` the monolith produced —
+property-tested byte-identical.  ``run_study`` / ``run_korean_study`` /
+``run_ladygaga_study`` are now thin wrappers over this class.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.analysis.result import StudyResult
 from repro.engine.context import RunContext
-from repro.engine.sharding import BACKENDS, ShardedExecutor, WorkerFaultPlan
 from repro.engine.stages import (
     GroupingStage,
     ProfileGeocodeStage,
@@ -45,70 +42,23 @@ class EngineConfig:
     """Execution configuration for a :class:`StudyEngine`.
 
     Attributes:
-        shards: Contiguous shards the hot-path stages partition work into.
-        backend: ``"serial"`` or ``"process"`` (one worker per shard).
         min_gps_tweets: Study-entry threshold (paper: 1).
         tie_break: Equal-count ordering policy for the grouping method.
         cache_dir: Directory for the geocode service's persistent cell
             tier (``geocells.jsonl``); ``None`` keeps the cache in
             memory only.  A second run pointed at a warm directory
             issues zero backend geocode lookups.
-        fault_plan: Optional deterministic worker-crash injection
-            (crash-recovery drills; see
-            :class:`~repro.engine.sharding.WorkerFaultPlan`), mirroring
-            the API-level ``FailurePlan`` idiom.
     """
 
-    shards: int = 1
-    backend: str = "serial"
     min_gps_tweets: int = 1
     tie_break: TieBreak = TieBreak.STRING_ASC
     cache_dir: str | None = None
-    fault_plan: WorkerFaultPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
         if self.min_gps_tweets < 1:
             raise ConfigurationError(
                 f"min_gps_tweets must be >= 1, got {self.min_gps_tweets}"
             )
-
-
-def default_engine_config() -> EngineConfig:
-    """The :class:`EngineConfig` a caller gets when passing none.
-
-    Honours two environment overrides so an unmodified workload — the
-    tier-1 test suite in particular — can be soaked under the parallel
-    execution layer (the CI ``tests-process`` job sets both):
-
-    * ``REPRO_BACKEND`` — ``"serial"`` or ``"process"``;
-    * ``REPRO_SHARDS`` — shard count (the worker pool stays capped at
-      the machine's CPU count regardless).
-
-    Sharded runs are byte-identical to serial ones, so the overrides can
-    never change a result — only how it is computed.
-
-    Raises:
-        ConfigurationError: for an unparseable or invalid override.
-    """
-    kwargs: dict[str, object] = {}
-    backend = os.environ.get("REPRO_BACKEND", "").strip()
-    if backend:
-        kwargs["backend"] = backend
-    shards = os.environ.get("REPRO_SHARDS", "").strip()
-    if shards:
-        try:
-            kwargs["shards"] = int(shards)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_SHARDS must be an integer, got {shards!r}"
-            ) from None
-    return EngineConfig(**kwargs)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -125,11 +75,11 @@ class StudyEngine:
 
     Args:
         gazetteer: District catalogue both geocoders resolve against.
-        config: Execution configuration (sharding, thresholds).
+        config: Execution configuration (thresholds, geocode cache).
         placefinder: Optionally inject a pre-configured client (custom
-            quota, failure plan).  Injection forces the reverse-geocode
-            stage onto the serial path — shared quota and index-based
-            failure schedules are inherently serial semantics.
+            quota, failure plan).  Injection makes the reverse-geocode
+            stage loop over every GPS tweet through it instead of the
+            tiered geocode service.
         stages: Override the stage sequence (defaults to the five-stage
             study pipeline); each entry must satisfy the
             :class:`~repro.engine.stages.Stage` protocol.
@@ -143,7 +93,7 @@ class StudyEngine:
         stages: list[Stage] | None = None,
     ):
         self._gazetteer = gazetteer
-        self._config = config or default_engine_config()
+        self._config = config or EngineConfig()
         self._placefinder = placefinder
         self._stages: list[Stage] = stages if stages is not None else default_stages()
         self._last_run: EngineRun | None = None
@@ -205,11 +155,6 @@ class StudyEngine:
                 context stays available on :attr:`last_run`.
         """
         context = context or RunContext(dataset_name=dataset_name)
-        executor = ShardedExecutor(
-            shards=self._config.shards,
-            backend=self._config.backend,
-            fault_plan=self._config.fault_plan,
-        )
         state = StudyState(
             users=users,
             tweets=tweets,
@@ -217,18 +162,12 @@ class StudyEngine:
             gazetteer=self._gazetteer,
             placefinder=self._placefinder,
             geocode=self._geocode,
-            executor=executor,
             min_gps_tweets=self._config.min_gps_tweets,
             tie_break=self._config.tie_break,
         )
-        # The bounded worker pool is shared by every sharded stage of the
-        # run (one fork cost, not one per stage) and reaped afterwards.
-        try:
-            with context.metrics.timer("engine.total.s"):
-                for stage in self._stages:
-                    stage.run(context, state)
-        finally:
-            executor.close()
+        with context.metrics.timer("engine.total.s"):
+            for stage in self._stages:
+                stage.run(context, state)
         if state.statistics is None:
             raise InsufficientDataError(
                 "engine stage sequence produced no statistics"

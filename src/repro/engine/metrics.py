@@ -119,8 +119,8 @@ class LatencyHistogram:
         *replaces* this one and the newer epoch is adopted.  ``other``
         from an older epoch: its window samples are dropped — mixing
         them in would reintroduce exactly the cross-swap contamination
-        the epoch exists to prevent.  Shard-local histograms never set an
-        epoch, so engine merges keep the plain concatenation behaviour.
+        the epoch exists to prevent.  Histograms that never set an epoch
+        keep the plain concatenation behaviour.
         """
         with other._lock:
             other_ring = list(other._ring)
@@ -186,7 +186,7 @@ class MetricsRegistry:
     """Counters, gauges, accumulated timers, and pluggable snapshot sources.
 
     Counters and timers are additive (and merge by summation across
-    shards); gauges are point-in-time values where the last write wins.
+    registries); gauges are point-in-time values where the last write wins.
     Sources are live views onto existing stats objects — registering the
     same prefix twice replaces the previous source, so re-running an
     engine over one context never double-counts.
@@ -280,8 +280,7 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in: counters/timers sum, gauges last-write.
 
-        This is how shard-local registries collapse into the run registry;
-        sources are copied over as well (same replace-on-conflict rule).
+        Sources are copied over as well (same replace-on-conflict rule).
         """
         for name, value in other._counters.items():
             self.counter(name, value)

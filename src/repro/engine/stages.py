@@ -8,39 +8,30 @@ shared :class:`StudyState` under a
 
 1. :class:`RefineStage` — corpus-level funnel accounting;
 2. :class:`ProfileGeocodeStage` — forward-geocode profile locations;
-3. :class:`ReverseGeocodeStage` — the per-tweet PlaceFinder hot path,
-   shardable across processes;
-4. :class:`GroupingStage` — the paper's merged-string Top-k method,
-   shardable per user;
+3. :class:`ReverseGeocodeStage` — the per-tweet PlaceFinder hot path;
+4. :class:`GroupingStage` — the paper's merged-string Top-k method;
 5. :class:`StatisticsStage` — Figs. 6-7 aggregates.
 
 Every stage records a span and reports into the run's metrics registry.
 The staged sequence is property-tested to be result-identical to the seed
 monolith (``tests/engine/test_engine.py``), including the simulated API
-usage accounting, for any shard count and backend.
+usage accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol
 
 from repro.analysis.result import RefinementFunnel
 from repro.engine.context import RunContext
-from repro.engine.sharding import ShardedExecutor, ShardRunReport
 from repro.errors import ConfigurationError
 from repro.geo.forward import GeocodeStatus, TextGeocoder
 from repro.geo.gazetteer import Gazetteer
 from repro.geo.region import AdminPath, District
 from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.cellstore import Cell
-from repro.geocode.service import (
-    GeocodeService,
-    TierStats,
-    shard_segment_path,
-    simulated_latency,
-)
+from repro.geocode.service import GeocodeService, simulated_latency
 from repro.geocode.backend import PlaceFinderBackend
 from repro.grouping.merge import TieBreak
 from repro.grouping.stats import GroupStatistics, compute_group_statistics
@@ -61,23 +52,25 @@ class StudyState:
 
     Inputs are set up by the engine (or by :class:`RefinementPipeline`
     when it delegates here); each stage fills in its output fields.
+    Reverse geocoding goes through the tiered service unless a client is
+    injected; that per-tweet client loop stays because only it keeps the
+    client's per-tweet cache hits, its request-indexed failure plan and a
+    quota error raised mid-run.
 
     Attributes:
         users: Crawled / streamed accounts.
         tweets: Their tweets.
         text_geocoder: Profile-location resolver.
-        gazetteer: District catalogue (required for the sharded reverse-
-            geocode path, which builds shard-local resolvers from it).
+        gazetteer: District catalogue the default geocode service
+            resolves against when none is supplied.
         placefinder: Injected client (custom quota / failure plan).  When
-            present, reverse geocoding runs serially through it — index-
-            based failure injection and shared quota cannot be sharded
-            without changing semantics.  ``None`` lets the stage own its
-            clients and shard freely.
+            present, reverse geocoding loops over every GPS tweet through
+            it; ``None`` lets the stage own its client behind the tiered
+            service.
         geocode: The tiered :class:`~repro.geocode.service.GeocodeService`
             reverse geocoding resolves through when no client is injected.
             ``None`` makes the stage build a memory-only service; the
             engine supplies one so warm tiers persist across runs.
-        executor: Shard plan for the hot-path stages.
         min_gps_tweets: Study-entry threshold (paper: 1).
         tie_break: Equal-count ordering policy for the grouping method.
         funnel: Refinement attrition accounting (RefineStage onwards).
@@ -96,7 +89,6 @@ class StudyState:
     gazetteer: Gazetteer | None = None
     placefinder: PlaceFinderClient | None = None
     geocode: GeocodeService | None = None
-    executor: ShardedExecutor = field(default_factory=ShardedExecutor)
     min_gps_tweets: int = 1
     tie_break: TieBreak = TieBreak.STRING_ASC
 
@@ -168,87 +160,24 @@ class ProfileGeocodeStage:
             )
 
 
-@dataclass
-class ShardGeocodeReport:
-    """What one reverse-geocode shard worker sends back to the parent.
-
-    Attributes:
-        resolved: ``(cell, outcome)`` pairs in chunk order.
-        tier_stats: The shard-local service's tier accounting.
-        client_stats: The shard-local PlaceFinder client's accounting.
-    """
-
-    resolved: list[tuple[Cell, AdminPath | None]]
-    tier_stats: TierStats
-    client_stats: ClientStats
-
-
-def _resolve_cells_shard(
-    cells: list[Cell], payload: object
-) -> ShardGeocodeReport:
-    """Shard worker: resolve each cache cell at its representative point.
-
-    Each shard owns a full *shard-local* tiered
-    :class:`~repro.geocode.service.GeocodeService` — an L1 over an
-    optional shard-partitioned cell-store segment file — wrapping a
-    PlaceFinder client (XML round trip included, so per-lookup cost
-    matches the serial path) built from the shared gazetteer.  Workers
-    never touch the shared warm cache; the parent merges their segments
-    and stats after they return.  Because cell outcomes are pure
-    functions of the cell key, a worker retried after a crash reopens its
-    segment, warm-starts from the cells it already persisted, and still
-    returns byte-identical outcomes.  Module-level so the process
-    backend can pickle it.
-    """
-    gazetteer, latency_s, quantum_deg, segment = payload  # type: ignore[misc]
-    if not cells:
-        return ShardGeocodeReport([], TierStats(), ClientStats())
-    client = PlaceFinderClient(
-        ReverseGeocoder(gazetteer), daily_quota=ENGINE_QUOTA, latency_s=latency_s
-    )
-    service = GeocodeService(
-        PlaceFinderBackend(client), cache_path=segment, quantum_deg=quantum_deg
-    )
-    resolved = [(cell, service.resolve_cell(cell)) for cell in cells]
-    return ShardGeocodeReport(resolved, service.stats, client.stats)
-
-
-def _record_shard_run(
-    context: RunContext, stage_name: str, report: ShardRunReport
-) -> None:
-    """Mirror a sharded run into the trace: per-shard spans + counters."""
-    for outcome in report.outcomes:
-        context.record_span(
-            f"{stage_name}.shard{outcome.index}",
-            outcome.duration_s,
-            items_in=outcome.items,
-            items_out=outcome.items,
-        )
-    context.metrics.counter("sharding.worker_retries", report.worker_retries)
-    context.metrics.counter("sharding.serial_fallbacks", report.serial_fallbacks)
-    context.metrics.gauge("sharding.shards", report.shards)
-    context.metrics.gauge("sharding.max_workers", report.max_workers)
-
-
 class ReverseGeocodeStage:
-    """The per-tweet PlaceFinder hot path (funnel steps 3-4), shardable.
+    """The per-tweet PlaceFinder hot path (funnel steps 3-4).
 
-    With an injected client the stage runs the seed's serial loop
+    With an injected client the stage runs the seed's per-tweet loop
     through it — quota exhaustion and index-based failure injection keep
     their exact semantics.  Otherwise the stage resolves through the
     tiered :class:`~repro.geocode.service.GeocodeService`: GPS points
     dedupe into 0.001° cells, cached cells are answered by the tiers
     (including the persistent store — a warm second run issues **zero**
-    backend lookups), and only the misses are resolved — across the
-    shard plan, each at its cell's canonical representative point.
+    backend lookups), and only the misses are resolved, each at its
+    cell's canonical representative point.
 
     Because every cell outcome is a pure function of the cell key, the
     canonical :class:`ClientStats` a single shared serial client would
     have reported is reconstructed *arithmetically* — requests = distinct
     cells, cache hits = lookups minus distinct cells, no-results = cells
     resolving nowhere — instead of by the serial per-tweet replay earlier
-    revisions needed.  Byte-identical for any shard count, backend, and
-    cache warmth.
+    revisions needed.  Byte-identical for any cache warmth.
     """
 
     name = "reverse_geocode"
@@ -269,7 +198,7 @@ class ReverseGeocodeStage:
                     lambda: {"cache_size": state.placefinder.cache_size},
                 )
             else:
-                stats = self._run_service(context, state, candidates)
+                stats = self._run_service(state, candidates)
                 assert state.geocode is not None
                 context.metrics.register_source(
                     "geocode.tiers", state.geocode.stats_source
@@ -318,7 +247,6 @@ class ReverseGeocodeStage:
     # --------------------------------------------------------- tiered service
     def _run_service(
         self,
-        context: RunContext,
         state: StudyState,
         candidates: list[tuple[int, District, list[Tweet]]],
     ) -> ClientStats:
@@ -342,7 +270,8 @@ class ReverseGeocodeStage:
                     outcomes[cell] = outcome
                 else:
                     misses.append(cell)
-        self._resolve_misses(context, state, service, misses, outcomes)
+        for cell in misses:
+            outcomes[cell] = service.resolve_uncached(cell)
 
         # Canonical accounting, arithmetically: cell outcomes are pure
         # functions of the cell key, so a single shared serial client
@@ -389,67 +318,6 @@ class ReverseGeocodeStage:
             )
         return state.geocode
 
-    def _resolve_misses(
-        self,
-        context: RunContext,
-        state: StudyState,
-        service: GeocodeService,
-        misses: list[Cell],
-        outcomes: dict[Cell, AdminPath | None],
-    ) -> None:
-        """Resolve uncached cells at their representatives, sharding when
-        the executor has more than one shard.
-
-        Sharded runs follow the shard-local-then-merge cellstore
-        protocol: each worker resolves its chunk through its own tiered
-        service over a shard-partitioned segment file (single writer per
-        journal — no concurrent appends to the shared warm cache), and
-        the parent merges outcomes append-only into the shared store and
-        folds worker :class:`TierStats`/:class:`ClientStats` into the
-        run's fleet totals, in shard order, deterministically.
-        """
-        if not misses:
-            return
-        if state.executor.shards > 1:
-            if state.gazetteer is None:
-                raise ConfigurationError(
-                    "sharded reverse geocoding requires a gazetteer on the state"
-                )
-            shards = state.executor.shards
-            segments = [
-                shard_segment_path(service.cache_path, index)
-                if service.cache_path is not None
-                else None
-                for index in range(shards)
-            ]
-            report = state.executor.run_shards(
-                misses,
-                _resolve_cells_shard,
-                shard_payloads=[
-                    (state.gazetteer, self.latency_s, service.quantum_deg, segment)
-                    for segment in segments
-                ],
-            )
-            fleet_clients = ClientStats()
-            for outcome in report.outcomes:
-                shard_report = outcome.result
-                assert isinstance(shard_report, ShardGeocodeReport)
-                service.stats.merge(shard_report.tier_stats)
-                fleet_clients.merge(shard_report.client_stats)
-                for cell, path in shard_report.resolved:
-                    service.store(cell, path)
-                    outcomes[cell] = path
-            for segment in segments:
-                if segment is not None:
-                    Path(segment).unlink(missing_ok=True)
-            context.metrics.register_source(
-                "geocode.workers", fleet_clients.snapshot
-            )
-            _record_shard_run(context, self.name, report)
-        else:
-            for cell in misses:
-                outcomes[cell] = service.resolve_uncached(cell)
-
     # -------------------------------------------------------------- internals
     @staticmethod
     def _observation(
@@ -478,28 +346,8 @@ class ReverseGeocodeStage:
         state.kept_profile_districts[user_id] = district
 
 
-def _group_users_shard(
-    user_chunks: list[list[GeotaggedObservation]], payload: object
-) -> dict[int, UserGrouping]:
-    """Shard worker: run the batch grouping method over one chunk of users.
-
-    ``user_chunks`` holds each user's observation rows; users are
-    independent under the method, so a chunk classifies exactly as it
-    would inside the full serial run.
-    """
-    (tie_break,) = payload  # type: ignore[misc]
-    flat = [obs for rows in user_chunks for obs in rows]
-    return group_users(flat, tie_break=tie_break)
-
-
 class GroupingStage:
-    """The paper's merged-string Top-k method, sharded per user.
-
-    Users are independent under the grouping method, so observations are
-    partitioned into contiguous per-user chunks (first-encounter user
-    order, matching the serial dict order) and classified shard-by-shard;
-    merging is dict concatenation in shard order.
-    """
+    """The paper's merged-string Top-k method over every study user."""
 
     name = "grouping"
 
@@ -507,19 +355,7 @@ class GroupingStage:
         """Classify every study user into their Top-k group."""
         with context.stage(self.name) as span:
             span.items_in = len(state.observations)
-            per_user: dict[int, list[GeotaggedObservation]] = {}
-            for observation in state.observations:
-                per_user.setdefault(observation.user_id, []).append(observation)
-            report = state.executor.run_shards(
-                list(per_user.values()),
-                _group_users_shard,
-                payload=(state.tie_break,),
-            )
-            if state.executor.shards > 1:
-                _record_shard_run(context, self.name, report)
-            groupings: dict[int, UserGrouping] = {}
-            for shard_result in report.results:
-                groupings.update(shard_result)
+            groupings = group_users(state.observations, tie_break=state.tie_break)
             state.groupings = groupings
             span.items_out = len(groupings)
             context.metrics.counter("grouping.users", len(groupings))

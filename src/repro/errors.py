@@ -91,33 +91,3 @@ class ReplicaBootError(FleetError):
 
 class RolloutInProgressError(FleetError):
     """A publish was requested while another rollout is still running."""
-
-
-class ShardExecutionError(ReproError):
-    """A shard worker raised an application exception.
-
-    Raised by :class:`~repro.engine.sharding.ShardedExecutor` in place of
-    the raw (possibly pickled-across-processes) traceback a
-    ``future.result()`` call surfaces, so operators see *which* shard over
-    *which* item range failed.  Distinct from a crashed worker process —
-    a dead process is an infrastructure failure the executor retries and
-    falls back from; this error means the worker code itself raised, which
-    a retry cannot fix.  The CLI maps it to exit code 4.
-
-    Attributes:
-        shard_index: 0-based index of the failing shard.
-        shards: Total shard count of the run.
-        item_range: Half-open ``(start, stop)`` range of global item
-            indexes the shard was processing.
-    """
-
-    def __init__(self, shard_index: int, shards: int, item_range: tuple[int, int],
-                 cause: BaseException):
-        self.shard_index = shard_index
-        self.shards = shards
-        self.item_range = item_range
-        super().__init__(
-            f"shard {shard_index + 1}/{shards} failed on items "
-            f"[{item_range[0]}:{item_range[1]}): "
-            f"{type(cause).__name__}: {cause}"
-        )

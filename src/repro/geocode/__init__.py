@@ -21,8 +21,7 @@ _EXPORTS = {
     "policy": ("FailurePlan", "RetryPolicy", "resolve_with_retries"),
     "service": (
         "CELL_CACHE_FILENAME", "DEFAULT_L1_CAPACITY", "DEFAULT_QUANTUM_DEG",
-        "GeocodeService", "TierStats", "cell_cache_path", "shard_segment_path",
-        "simulated_latency",
+        "GeocodeService", "TierStats", "cell_cache_path", "simulated_latency",
     ),
 }
 

@@ -11,15 +11,15 @@ disk tier), over a :class:`~repro.geocode.backend.GeocodeBackend`.
 representative point* — its quantisation anchor ``(i·q, j·q)`` — never at
 whichever tweet happened to arrive first.  The cached outcome is thus a
 pure function of the cell key: independent of arrival order, batch
-boundaries, shard assignment, and of which run (or which process) filled
-the cache.  That property is what lets
+boundaries, and of which run (or which process) filled the cache.  That
+property is what lets
 
 * the batch engine reconstruct the canonical
   :class:`~repro.yahooapi.client.ClientStats` *arithmetically* instead of
   replaying the tweet stream serially through a shared client,
 * streaming snapshots reuse fold-time resolutions instead of re-geocoding
   every retained tweet, and
-* a warm disk tier be shared safely across runs, shards, and resumes —
+* a warm disk tier be shared safely across runs and resumes —
   a cell resolved anywhere resolves identically everywhere.
 
 Negative outcomes (``None`` — the backend answered "nowhere") are cached
@@ -84,23 +84,6 @@ def cell_cache_path(cache_dir: str | Path) -> Path:
     return Path(cache_dir) / CELL_CACHE_FILENAME
 
 
-def shard_segment_path(cache_path: Path, shard_index: int) -> Path:
-    """The shard-local segment file for ``shard_index``.
-
-    Process-backend shard workers never append to the shared warm cache
-    concurrently — each writes its own ``geocells.shard-<k>.jsonl``
-    segment next to it (single writer per journal file, the
-    :mod:`repro.storage.journal` contract), and the parent merges the
-    segments append-only into the shared file after the workers return.
-    A crashed worker leaves at most a torn final segment line, which the
-    journal reader drops; its retry reopens the same segment and
-    warm-starts from the cells it already resolved.
-    """
-    return cache_path.with_name(
-        f"{cache_path.stem}.shard-{shard_index}{cache_path.suffix}"
-    )
-
-
 def simulated_latency(requests: int, latency_s: float) -> float:
     """``requests`` accumulations of ``latency_s``, by repeated addition.
 
@@ -140,27 +123,6 @@ class TierStats:
     stored: int = 0
     retries: int = 0
     retry_exhausted: int = 0
-
-    def merge(self, other: "TierStats") -> None:
-        """Fold another service's counters in (shard-fleet accounting).
-
-        Deterministic — plain integer sums, independent of merge order —
-        so ``study --metrics`` reports identical fleet totals no matter
-        which worker finished first.  ``stored`` then counts writes into
-        *any* tier instance: a cell a worker persisted into its shard
-        segment and the parent merged into the shared store counts twice,
-        once per journal it was written to.
-        """
-        self.l1_hits += other.l1_hits
-        self.l1_misses += other.l1_misses
-        self.l1_evictions += other.l1_evictions
-        self.disk_hits += other.disk_hits
-        self.disk_misses += other.disk_misses
-        self.backend_lookups += other.backend_lookups
-        self.no_result += other.no_result
-        self.stored += other.stored
-        self.retries += other.retries
-        self.retry_exhausted += other.retry_exhausted
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         """Nested dict view (flattens to ``…l1.hits`` etc. in metrics)."""
@@ -223,11 +185,6 @@ class GeocodeService:
     def backend(self) -> GeocodeBackend:
         """The resolver behind the tiers."""
         return self._backend
-
-    @property
-    def quantum_deg(self) -> float:
-        """Cell edge length in degrees."""
-        return self._quantum_deg
 
     def cell_of(self, point: GeoPoint) -> Cell:
         """The cache cell ``point`` falls into."""
@@ -337,7 +294,7 @@ class GeocodeService:
 
         A disk hit is promoted into L1.  The backend is never consulted —
         bulk consumers (the engine stage) use this to split work into
-        cached cells and misses they resolve across shards.
+        cached cells and the misses they resolve afterwards.
         """
         if cell in self._l1:
             self.stats.l1_hits += 1
@@ -377,9 +334,8 @@ class GeocodeService:
     def store(self, cell: Cell, outcome: AdminPath | None) -> None:
         """Record one cell outcome into L1 and (if present) the disk tier.
 
-        This is also the path shard workers' results are merged back
-        through — the outcome must have been resolved at
-        :meth:`representative` for the pure-function contract to hold.
+        The outcome must have been resolved at :meth:`representative` for
+        the pure-function contract to hold.
         """
         self._admit(cell, outcome)
         if self._disk is not None:
@@ -410,11 +366,6 @@ class GeocodeService:
     def has_disk_tier(self) -> bool:
         """Whether a persistent tier backs the LRU."""
         return self._disk is not None
-
-    @property
-    def cache_path(self) -> Path | None:
-        """The persistent tier's journal file (``None`` when memory-only)."""
-        return self._disk.path if self._disk is not None else None
 
     def stats_source(self) -> dict[str, object]:
         """Metrics-registry source: tier counters plus cache occupancy."""

@@ -33,7 +33,7 @@ from repro.datasets.ladygaga import (
     build_ladygaga_dataset,
 )
 from repro.engine.context import RunContext
-from repro.engine.engine import EngineConfig, StudyEngine, default_engine_config
+from repro.engine.engine import EngineConfig, StudyEngine
 
 
 @dataclass
@@ -77,7 +77,7 @@ def run_korean_study(
         config: Dataset build configuration (default scale otherwise).
         min_gps_tweets: Study-entry threshold; overrides the matching
             ``engine_config`` field.
-        engine_config: Execution configuration (sharding, backend, geocode cache_dir).
+        engine_config: Execution configuration (tie-break, geocode cache_dir).
     """
     config = config or KoreanDatasetConfig()
     dataset = build_korean_dataset(config)
@@ -85,7 +85,7 @@ def run_korean_study(
     context.metrics.register_source("crawl", dataset.crawl.snapshot)
     engine = StudyEngine(
         dataset.gazetteer,
-        config=replace(engine_config or default_engine_config(), min_gps_tweets=min_gps_tweets),
+        config=replace(engine_config or EngineConfig(), min_gps_tweets=min_gps_tweets),
     )
     study = engine.run(
         dataset.users, dataset.tweets, dataset_name="Korean", context=context
@@ -104,7 +104,7 @@ def run_ladygaga_study(
         config: Dataset build configuration (default scale otherwise).
         min_gps_tweets: Study-entry threshold; overrides the matching
             ``engine_config`` field.
-        engine_config: Execution configuration (sharding, backend, geocode cache_dir).
+        engine_config: Execution configuration (tie-break, geocode cache_dir).
     """
     config = config or LadyGagaDatasetConfig()
     dataset = build_ladygaga_dataset(config)
@@ -112,7 +112,7 @@ def run_ladygaga_study(
     context.metrics.register_source("crawl", dataset.stream_stats.snapshot)
     engine = StudyEngine(
         dataset.gazetteer,
-        config=replace(engine_config or default_engine_config(), min_gps_tweets=min_gps_tweets),
+        config=replace(engine_config or EngineConfig(), min_gps_tweets=min_gps_tweets),
     )
     study = engine.run(
         dataset.users, dataset.tweets, dataset_name="Lady Gaga", context=context

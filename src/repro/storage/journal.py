@@ -15,10 +15,9 @@ already-serialisable dicts.
 The contract assumes a **single writer per journal file**: concurrent
 appenders from different processes could interleave partial lines, which
 the torn-tail rule cannot repair (it only forgives the *final* line).
-Parallel producers must therefore write to private files and let one
-owner merge them — the sharded engine's geocode workers each journal to
-their own ``geocells.shard-<k>.jsonl`` segment and the parent process
-folds the segments into the shared cache afterwards (DESIGN.md §11).
+Parallel producers would therefore have to write to private files and
+let one owner merge them.  Every journal today has one writer: the study
+runs in one process (DESIGN.md §11).
 """
 
 from __future__ import annotations

@@ -76,24 +76,6 @@ class ClientStats:
     retry_exhausted: int = 0
     simulated_latency_s: float = 0.0
 
-    def merge(self, other: "ClientStats") -> None:
-        """Fold another client's accounting in (shard-fleet totals).
-
-        Deterministic for the integer counters regardless of merge order;
-        the engine merges in shard order anyway so the accumulated float
-        latency is reproducible bit for bit too.  This is how the process
-        backend's per-worker clients roll up into the ``geocode.workers``
-        metrics the run context reports — the run's *canonical*
-        ``api_stats`` stay the arithmetic cell-invariant reconstruction.
-        """
-        self.requests += other.requests
-        self.cache_hits += other.cache_hits
-        self.failures_injected += other.failures_injected
-        self.no_result += other.no_result
-        self.retries += other.retries
-        self.retry_exhausted += other.retry_exhausted
-        self.simulated_latency_s += other.simulated_latency_s
-
     def snapshot(self) -> dict[str, float]:
         """Plain-dict view for reports."""
         return {

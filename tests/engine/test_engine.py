@@ -1,10 +1,10 @@
 """Property tests for the staged StudyEngine.
 
-The load-bearing guarantee of the engine refactor: for any shard count
-and backend, the staged engine's :class:`StudyResult` is byte-identical —
-field by field, including the simulated API usage accounting — to what
-the pre-refactor ``run_study`` monolith produced.  The monolith below is
-a verbatim copy of the seed implementation, kept here as the reference.
+The load-bearing guarantee of the engine refactor: the staged engine's
+:class:`StudyResult` is byte-identical — field by field, including the
+simulated API usage accounting — to what the pre-refactor ``run_study``
+monolith produced.  The monolith below is a verbatim copy of the seed
+implementation, kept here as the reference.
 """
 
 import pytest
@@ -110,46 +110,20 @@ def ladygaga_reference(small_ctx):
 
 
 class TestSeedEquivalence:
-    """Acceptance: engine ≡ seed monolith for shard counts {1, 2, 8}."""
+    """Acceptance: engine ≡ seed monolith on both corpora."""
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_korean_serial(self, korean_reference, shards):
+    def test_korean(self, korean_reference):
         ds, reference = korean_reference
-        result = run_study(
-            ds.users, ds.tweets, ds.gazetteer, "Korean",
-            engine_config=EngineConfig(shards=shards, backend="serial"),
-        )
+        result = run_study(ds.users, ds.tweets, ds.gazetteer, "Korean")
         assert_results_identical(reference, result)
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_ladygaga_serial(self, ladygaga_reference, shards):
+    def test_ladygaga(self, ladygaga_reference):
         ds, reference = ladygaga_reference
-        result = run_study(
-            ds.users, ds.tweets, ds.gazetteer, "Lady Gaga",
-            engine_config=EngineConfig(shards=shards, backend="serial"),
-        )
-        assert_results_identical(reference, result)
-
-    @pytest.mark.parametrize("shards", [2, 8])
-    def test_korean_process_pool(self, korean_reference, shards):
-        ds, reference = korean_reference
-        result = run_study(
-            ds.users, ds.tweets, ds.gazetteer, "Korean",
-            engine_config=EngineConfig(shards=shards, backend="process"),
-        )
-        assert_results_identical(reference, result)
-
-    @pytest.mark.parametrize("shards", [2, 8])
-    def test_ladygaga_process_pool(self, ladygaga_reference, shards):
-        ds, reference = ladygaga_reference
-        result = run_study(
-            ds.users, ds.tweets, ds.gazetteer, "Lady Gaga",
-            engine_config=EngineConfig(shards=shards, backend="process"),
-        )
+        result = run_study(ds.users, ds.tweets, ds.gazetteer, "Lady Gaga")
         assert_results_identical(reference, result)
 
     def test_injected_placefinder_stays_serial_and_identical(self, korean_reference):
-        """A custom client (failure plan) forces the seed's serial loop."""
+        """A custom client (failure plan) runs the seed's per-tweet loop."""
         ds, _ = korean_reference
         plan = FailurePlan(every_n=50)
 
@@ -172,7 +146,6 @@ class TestSeedEquivalence:
         result = run_study(
             ds.users, ds.tweets, ds.gazetteer, "Korean",
             placefinder=client,
-            engine_config=EngineConfig(shards=8, backend="serial"),
         )
         assert result.funnel == refined.funnel
         assert result.observations == refined.observations
@@ -214,13 +187,9 @@ class TestEngineInstrumentation:
             assert snap[f"stage.{stage}.s"] >= 0.0
 
     def test_spans_cover_all_stages_in_order(self, output):
-        # A sharded run (e.g. the CI REPRO_SHARDS soak) interleaves
-        # per-shard spans (reverse_geocode.shard0, …); the top-level
-        # stage spans must still appear exactly once each, in order.
-        stages = ["refine", "profile_geocode", "reverse_geocode",
-                  "grouping", "statistics"]
         names = [span.stage for span in output.context.spans]
-        assert [name for name in names if name in stages] == stages
+        assert names == ["refine", "profile_geocode", "reverse_geocode",
+                         "grouping", "statistics"]
         reverse = next(
             span for span in output.context.spans
             if span.stage == "reverse_geocode"
@@ -240,14 +209,6 @@ class TestEngineInstrumentation:
 
 
 class TestEngineConfigValidation:
-    def test_bad_shards(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(shards=0)
-
-    def test_bad_backend(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(backend="gpu")
-
     def test_bad_min_gps(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(min_gps_tweets=0)

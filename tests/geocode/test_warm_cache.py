@@ -25,16 +25,14 @@ def small_dataset():
     return build_korean_dataset(config)
 
 
-def _run(dataset, cache_dir, shards=1, backend="serial"):
+def _run(dataset, cache_dir):
     context = RunContext(dataset_name="korean", seed=11)
     study = run_study(
         dataset.users,
         dataset.tweets,
         dataset.gazetteer,
         dataset_name="korean",
-        engine_config=EngineConfig(
-            shards=shards, backend=backend, cache_dir=str(cache_dir)
-        ),
+        engine_config=EngineConfig(cache_dir=str(cache_dir)),
         context=context,
     )
     return study, context.metrics.snapshot()
@@ -63,32 +61,6 @@ class TestWarmTier:
         # The simulated client was never consulted: its request cache is
         # exactly as empty as a freshly constructed client's.
         assert warm["geocode.tiers.client_cache_size"] == 0
-        assert_results_identical(cold_study, warm_study)
-
-    def test_cache_populated_by_serial_run_warms_sharded_run(
-        self, small_dataset, tmp_path
-    ):
-        cache = tmp_path / "geocache"
-        cold_study, _ = _run(small_dataset, cache, shards=1)
-        warm_study, warm = _run(small_dataset, cache, shards=4)
-        assert warm["geocode.tiers.backend.lookups"] == 0
-        assert_results_identical(cold_study, warm_study)
-
-    def test_process_run_merges_segments_into_shared_cache(
-        self, small_dataset, tmp_path
-    ):
-        """Process workers journal to private ``geocells.shard-<k>.jsonl``
-        segments; after the run the parent has folded them into the one
-        shared cache (reaping the segments) and a serial run finds the
-        disk tier fully warm."""
-        cache = tmp_path / "geocache"
-        cold_study, cold = _run(small_dataset, cache, shards=4, backend="process")
-        assert cold["geocode.tiers.backend.lookups"] > 0
-        assert (cache / "geocells.jsonl").exists()
-        assert not list(cache.glob("geocells.shard-*.jsonl"))
-
-        warm_study, warm = _run(small_dataset, cache, shards=1)
-        assert warm["geocode.tiers.backend.lookups"] == 0
         assert_results_identical(cold_study, warm_study)
 
     def test_cold_runs_with_and_without_cache_match(self, small_dataset, tmp_path):

@@ -5,9 +5,9 @@ The digests below were recorded from ``repro study`` at the fast flags
 population, tweet generation, storage order, geocoding or grouping that
 moves a single byte of the study document moves its digest, so a change
 meant to be output-neutral (a speed-up, a refactor) must leave these
-equal.  Every execution path is held to the same digests: serial and
-sharded engine runs on both backends, the end-of-stream accumulator
-snapshot, and the live delta builder's cold build.  The CLI-default
+equal.  Every path that builds a study is held to the same digests: the
+staged engine, the end-of-stream accumulator snapshot, and the live delta
+builder's cold build.  The CLI-default
 Korean study is checked against the digests the repository benchmark
 recorded in ``perfbench/digests.json``.
 """
@@ -20,10 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.analysis.correlation import run_study
 from repro.analysis.incremental import IncrementalStudyAccumulator
 from repro.analysis.serialization import study_digest
-from repro.engine import EngineConfig
 from repro.live import DeltaSnapshotBuilder
 from repro.streaming import FirehoseSource
 
@@ -67,23 +65,6 @@ def _folded_accumulator(dataset, batch_size=97):
 def test_fast_flag_study_digest(dataset):
     _, digest = _cli_study_digest(["--dataset", dataset, *FAST_FLAGS])
     assert digest == GOLDEN_FAST[dataset]
-
-
-@pytest.mark.parametrize(
-    "config",
-    [{"shards": 3}, {"shards": 2, "backend": "process"}],
-    ids=["serial-3-shards", "process-2-shards"],
-)
-def test_sharded_engine_digest(fast_dataset, config):
-    name, dataset = fast_dataset
-    study = run_study(
-        dataset.users,
-        dataset.tweets,
-        dataset.gazetteer,
-        dataset_name=name,
-        engine_config=EngineConfig(**config),
-    )
-    assert study_digest(study) == GOLDEN_FAST[name]
 
 
 def test_end_of_stream_snapshot_digest(fast_dataset):

@@ -7,16 +7,13 @@ The :class:`~tests.live.conftest.VerifyingStore` enforces the invariant
 inside :meth:`~repro.serving.state.SnapshotStore.swap` itself, so a
 violation fails at the exact publish that broke it.  Coverage spans both
 corpora, all three backpressure policies (including lossy overflow),
-crash-resume at several cut points, and the process engine backend.
+and crash-resume at several cut points.
 """
 
 import pytest
 
-from repro.analysis.correlation import run_study
 from repro.analysis.serialization import study_digest
-from repro.engine import EngineConfig
 from repro.live import LiveConfig
-from repro.serving.state import ServingSnapshot
 from repro.streaming import BackpressurePolicy
 
 from tests.live.conftest import (
@@ -130,21 +127,3 @@ class TestGenerationAccounting:
         harness.run()
         assert harness.store.generation == 1 + harness.store.verified
 
-
-class TestProcessBackend:
-    @pytest.mark.slow
-    def test_final_swap_matches_process_sharded_batch(self, small_ctx, tmp_path):
-        """The served end state equals a batch study computed on the
-        process backend with 4 shards — the live path is backend-blind
-        because sharded batch runs are byte-identical to serial ones."""
-        dataset = small_ctx.korean_dataset
-        harness = make_live(dataset, "korean", tmp_path, config=CADENCE)
-        harness.run()
-        batch = run_study(
-            dataset.users, dataset.tweets, dataset.gazetteer,
-            dataset_name="korean",
-            engine_config=EngineConfig(shards=4, backend="process"),
-        )
-        assert_snapshots_identical(
-            harness.store.current(), ServingSnapshot.from_study(batch)
-        )

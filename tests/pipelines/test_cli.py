@@ -137,38 +137,6 @@ class TestStudy:
         warm = capsys.readouterr().out
         assert warm == cold
 
-    def test_study_sharded_matches_serial(self, capsys):
-        assert main(["study", "--dataset", "korean", *FAST]) == 0
-        serial = capsys.readouterr().out
-        assert main(["study", "--dataset", "korean", "--shards", "4", *FAST]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == serial
-
-    def test_study_process_backend_matches_serial(self, capsys):
-        assert main(["study", "--dataset", "korean", *FAST]) == 0
-        serial = capsys.readouterr().out
-        assert main(["study", "--dataset", "korean", "--backend", "process",
-                     "--shards", "4", *FAST]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
-    def test_shard_failure_exits_code_4(self, capsys, monkeypatch):
-        """A worker exception surfaces as exit code 4 with the shard and
-        item range named — never a traceback."""
-        from repro.errors import ShardExecutionError
-
-        def boom(*args, **kwargs):
-            raise ShardExecutionError(2, 4, (6, 9), ValueError("bad row"))
-
-        monkeypatch.setattr("repro.analysis.correlation.run_study", boom)
-        code = main(["study", "--dataset", "korean", *FAST])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "shard 3/4" in err
-        assert "[6:9)" in err
-        assert "bad row" in err
-        assert "Traceback" not in err
-
 
 class TestEngineTrace:
     def test_trace_output(self, capsys):
@@ -240,6 +208,40 @@ class TestLocalize:
         out = capsys.readouterr().out
         assert "estimator x weighting scheme" in out
         assert "learned weight factors" in out
+
+
+class TestFleetPublish:
+    """``fleet publish`` exits 0 only when the rollout it waited on was
+    promoted; a rollback is exit 1."""
+
+    @staticmethod
+    def _front(promoted):
+        import json
+
+        class FakeFront:
+            def __init__(self, host, port):
+                pass
+
+            def request(self, method, target):
+                if method == "POST":
+                    return 202, b'{"accepted": true}'
+                state = {"state": "idle", "last_rollout": {"promoted": promoted}}
+                return 200, json.dumps(state).encode()
+
+            def close(self):
+                pass
+
+        return FakeFront
+
+    @pytest.mark.parametrize("promoted, code", [(True, 0), (False, 1)])
+    def test_exit_code_follows_the_rollout_outcome(
+        self, promoted, code, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.fleet.client.PooledReplicaClient", self._front(promoted)
+        )
+        assert main(["fleet", "publish", "v2.json", "--front-port", "1"]) == code
+        assert '"promoted"' in capsys.readouterr().out
 
 
 class TestServe:

@@ -182,7 +182,7 @@ class TestLazyIndex:
                     assert [t.tweet_id for t in store] == _time_order(model)
                 elif read == "pickle":
                     # Ships whatever unsorted appends the store holds, as
-                    # the process backend does when it sends state to workers.
+                    # sending a store to another process does.
                     store = pickle.loads(pickle.dumps(store))
                 assert len(store) == len(model)
         assert [t.tweet_id for t in store] == _time_order(model)

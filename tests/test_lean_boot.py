@@ -32,7 +32,6 @@ HEAVY = (
     "repro.live",
     "repro.streaming",
     "repro.engine.engine",
-    "repro.engine.sharding",
     "repro.datasets.korean",
     "repro.twitter.tweetgen",
 )
@@ -111,6 +110,22 @@ def test_boot_paths_load_no_heavy_module(tmp_path):
         "open the korean gazetteer": [],
         "serve a missing snapshot": [],
     }
+
+
+#: Process-pool machinery: the study runs in one process (DESIGN.md §11).
+PROCESS_POOL = ("multiprocessing", "concurrent.futures.process")
+
+_STUDY_PATH = """
+import json, sys
+import repro.analysis.correlation, repro.engine.engine
+print(json.dumps(sorted(m for m in sys.argv[1:] if m in sys.modules)))
+"""
+
+
+def test_study_path_loads_no_process_pool():
+    """Importing the study entry point and the engine loads neither
+    :data:`PROCESS_POOL` module."""
+    assert _run(_STUDY_PATH, *PROCESS_POOL) == []
 
 
 PACKAGES = sorted(
